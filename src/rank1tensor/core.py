@@ -10,12 +10,18 @@ Conventions
   outer product equals ``unfold(T, i) @ flat(outer product)``.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInputError, DimensionError, NumericsError
+from .errors import (
+    DegenerateInputError,
+    DimensionError,
+    InvalidInputError,
+    NumericsError,
+)
 
 UNIT_NORM_TOL = 1e-12
 
@@ -23,18 +29,22 @@ UNIT_NORM_TOL = 1e-12
 class Tensor:
     """A dense real d-mode tensor.
 
-    Wraps a C-contiguous float64 ndarray; ``dims`` is its shape
-    (m_1, ..., m_d) with every m_j >= 1 and d >= 1.
+    Wraps a C-contiguous float64 ndarray of finite entries; ``dims`` is its
+    shape (m_1, ..., m_d) with every m_j >= 1 and d >= 1. ``copy=False``
+    shares the input's memory when it already is such an array and converts
+    it otherwise (``np.asarray`` semantics).
     """
 
     __slots__ = ("array",)
 
     def __init__(self, array, copy=True):
-        arr = np.array(array, dtype=np.float64, copy=copy, order="C")
+        arr = (np.array if copy else np.asarray)(array, dtype=np.float64, order="C")
         if arr.ndim < 1:
             raise DimensionError("a tensor needs at least one mode")
         if any(m < 1 for m in arr.shape):
             raise DimensionError(f"all dimensions must be >= 1, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("tensor entries must be finite (found NaN or Inf)")
         self.array = arr
 
     @classmethod
@@ -92,6 +102,10 @@ class UnitTuple:
             if v.ndim != 1 or v.size < 1:
                 raise DimensionError(f"component {j} is not a nonempty vector")
             n = np.linalg.norm(v)
+            if not math.isfinite(n):
+                raise InvalidInputError(
+                    f"component {j} has non-finite norm {float(n)!r}"
+                )
             if normalize:
                 if n == 0.0:
                     raise DegenerateInputError(f"component {j} is the zero vector")

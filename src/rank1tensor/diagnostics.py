@@ -23,7 +23,7 @@ from .errors import DimensionError, InvalidInputError, UnsupportedError
 
 #: default margin for exact-arithmetic identities, relative to |T|
 EXACT_TOL = 1e-8
-#: default margin for checks after an iterative solve, relative to |T|
+#: default margin for checks after an alternating solve, relative to |T|
 POST_SOLVE_TOL = 1e-6
 
 

@@ -1,11 +1,27 @@
 """Matrix kernels: leading singular triple, symmetric eigendecomposition,
 and inertia counts.
 
-The leading singular triple is computed through the Gram matrix of the
-smaller side (symmetric eigendecomposition of A A^T or A^T A), either densely
-or by power iteration on the Gram operator without forming it. The squared
-conditioning of the Gram route is acceptable at the tolerances the solvers
-run at.
+The leading singular triple is computed through the Gram matrix G of the
+smaller side (A A^T or A^T A), whose top eigenvector is one singular vector;
+the other is one matrix-vector product away. Two routes find that
+eigenvector:
+
+* dense: a full symmetric eigendecomposition of G;
+* squaring: the power method on G^(2^s), formed by repeated squaring of
+  P = G / tr G, with P renormalized to unit trace as it is squared
+  (Golub & Van Loan, Matrix Computations, 4th ed., section 8.2). The
+  candidate x is the normalized column of P with the largest diagonal
+  entry. It is accepted only under a certificate: the eigen-residual
+  |G x - theta x| <= 1e-12 theta with theta = x^T G x, and x^T P x > 1/2
+  (by a margin of 1e-8 that covers rounding in the computed P). P is
+  positive semidefinite with unit trace, so at most one eigendirection can
+  carry weight above 1/2, and it is then G's strictly dominant one.
+
+The squaring route runs when the smaller side is at least
+SQUARING_MIN_SIDE, where it is faster; when its certificate fails (an
+exactly or nearly degenerate top eigenvalue), the dense route answers.
+Neither route depends on a starting vector. The squared conditioning of the
+Gram route is acceptable at the tolerances the solvers run at.
 """
 
 from collections import namedtuple
@@ -15,8 +31,16 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 
-#: dense eigendecomposition is used when the smaller side is at most this
-DENSE_SIDE_LIMIT = 64
+#: smallest Gram side at which the squaring route beats a dense eigh
+SQUARING_MIN_SIDE = 20
+#: squarings before the certificate is first checked, and at most
+FIRST_CHECK_SQUARINGS = 6
+MAX_SQUARINGS = 12
+#: eigen-residual the squaring route must certify, relative to theta
+CERTIFY_RESIDUAL = 1e-12
+#: x^T P x must exceed 1/2 by this; rounding lifts a tied top's weight by
+#: about 2^s eps, 1e-12 after 12 squarings
+DOMINANCE_MARGIN = 1e-8
 
 SIGN_PIVOT_TOL = 1e-12
 
@@ -30,8 +54,7 @@ class SingularTriple:
     sigma: float
     u: np.ndarray
     v: np.ndarray
-    converged: bool = True
-    iterations: int = 0
+    squarings: int = 0  # behind a certified answer; 0 when eigh answered
 
 
 def symmetric_eig(s):
@@ -72,90 +95,62 @@ def _sign_fix(u, v):
     return u, v
 
 
-def _extract_from_v(a, v):
-    av = a @ v
-    sigma = float(np.linalg.norm(av))
-    if sigma == 0.0:
-        raise DegenerateInputError("right vector lies in the null space")
-    return sigma, av / sigma, v
+def _certified_top_eigvec(g):
+    # Repeated squaring of P = G / tr G; returns (x, squarings) once the
+    # certificate holds, None when it fails within MAX_SQUARINGS. A unit
+    # trace keeps every entry of P in [-1, 1], and three squarings shrink
+    # the trace to no less than k^-7 for side k, so renormalizing every
+    # third squaring before the first check cannot underflow.
+    p = g / g.trace()
+    for s in range(1, MAX_SQUARINGS + 1):
+        p = p @ p
+        if s < FIRST_CHECK_SQUARINGS:
+            if s % 3 == 0:
+                p /= p.trace()
+            continue
+        p /= p.trace()
+        col = p[:, int(np.argmax(p.diagonal()))]
+        x = col / np.linalg.norm(col)
+        gx = g @ x
+        theta = float(x @ gx)
+        certified = (
+            np.linalg.norm(gx - theta * x) <= CERTIFY_RESIDUAL * theta
+            and float(x @ (p @ x)) > 0.5 + DOMINANCE_MARGIN
+        )
+        if certified:
+            return x, s
+    return None
 
 
-def top_singular_triple(a, mode="auto", max_iters=100, tol=1e-9, start=None):
+def top_singular_triple(a, mode="auto"):
     """Largest singular value and vectors of a nonzero real matrix.
 
-    mode 'dense' forms the Gram matrix of the smaller side and takes its top
-    eigenpair; 'iterative' runs power iteration on the same operator without
-    forming it, stopping when the relative Rayleigh-quotient change drops
-    below ``tol`` or after ``max_iters`` steps (the result is then flagged
-    unconverged rather than failing). 'auto' picks dense when the smaller
-    side is at most DENSE_SIDE_LIMIT.
-
-    ``start`` optionally seeds the iteration with a right-side vector; power
-    iteration from a current iterate never decreases the Rayleigh quotient,
-    which the pair-update solvers rely on.
+    mode 'auto' takes the certified squaring route when the smaller side is
+    at least SQUARING_MIN_SIDE and falls back to the dense route when its
+    certificate fails; 'dense' always takes the dense eigendecomposition of
+    the Gram matrix (see the module docstring). Either way the first
+    non-negligible entry of u is positive.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
+    if mode not in ("auto", "dense"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
     if not np.any(a):
         raise DegenerateInputError("matrix is identically zero")
-    m, l = a.shape
-    if mode == "auto":
-        mode = "dense" if min(m, l) <= DENSE_SIDE_LIMIT else "iterative"
-
-    if mode == "dense":
-        if m <= l:
-            _, vecs = np.linalg.eigh(a @ a.T)
-            u = np.ascontiguousarray(vecs[:, -1])
-            av = a.T @ u
-            sigma = float(np.linalg.norm(av))
-            if sigma == 0.0:
-                raise DegenerateInputError("top left vector annihilates A")
-            v = av / sigma
-        else:
-            _, vecs = np.linalg.eigh(a.T @ a)
-            sigma, u, v = _extract_from_v(a, np.ascontiguousarray(vecs[:, -1]))
-        u, v = _sign_fix(u, v)
-        return SingularTriple(sigma, u, v)
-
-    if mode != "iterative":
-        raise InvalidInputError(f"unknown mode {mode!r}")
-
-    uniform = np.full(l, 1.0 / np.sqrt(l))
-    w = uniform
-    restarted = start is None
-    if start is not None:
-        w = np.asarray(start, dtype=np.float64)
-        if w.shape != (l,):
-            raise InvalidInputError(f"start vector has shape {w.shape}, expected ({l},)")
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            w, restarted = uniform, True
-        else:
-            w = w / n
-
-    converged = False
-    rayleigh_prev = None
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        z = a @ w
-        rayleigh = float(np.dot(z, z))  # w^T A^T A w
-        g = a.T @ z
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            # the start vector hit the null space; restart once
-            if restarted:
-                raise DegenerateInputError("power iteration collapsed to zero")
-            w, restarted, rayleigh_prev = uniform, True, None
-            continue
-        w = g / gn
-        if rayleigh_prev is not None and abs(rayleigh - rayleigh_prev) <= tol * max(
-            rayleigh, 1e-300
-        ):
-            converged = True
-            break
-        rayleigh_prev = rayleigh
-
-    sigma, u, v = _extract_from_v(a, w)
-    u, v = _sign_fix(u, v)
-    return SingularTriple(sigma, u, v, converged=converged, iterations=iterations)
+    wide = a.shape[0] <= a.shape[1]
+    gram = a @ a.T if wide else a.T @ a
+    found = None
+    if mode == "auto" and gram.shape[0] >= SQUARING_MIN_SIDE:
+        found = _certified_top_eigvec(gram)
+    if found is None:
+        _, vecs = np.linalg.eigh(gram)
+        found = np.ascontiguousarray(vecs[:, -1]), 0
+    x, squarings = found
+    y = a.T @ x if wide else a @ x
+    sigma = float(np.linalg.norm(y))
+    if sigma == 0.0:
+        raise DegenerateInputError("top Gram eigenvector annihilates the matrix")
+    y = y / sigma
+    u, v = _sign_fix(*((x, y) if wide else (y, x)))
+    return SingularTriple(sigma, u, v, squarings)

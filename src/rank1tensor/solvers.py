@@ -18,6 +18,9 @@ product of unit spheres:
   Guarantees accumulation at points maximal in every pair of modes.
 
 Every candidate-generating contraction counts as one optimization call.
+The pair steps take the top singular pair from
+:func:`linalg.top_singular_triple` in its default mode, which does not
+depend on the current iterate.
 All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
 ``max_iterations`` sweeps have run.
@@ -55,9 +58,6 @@ class SolverConfig:
     fitchange_tol: float = 1e-4
     init: str = "random"
     seed: object = 0
-    svd_mode: str = "dense"  # asvd/masvd pair updates: dense | iterative
-    svd_max_iters: int = 100
-    svd_tol: float = 1e-9
     pair_schedule: Optional[list] = None  # asvd only; None picks the default
 
     def __post_init__(self):
@@ -69,8 +69,6 @@ class SolverConfig:
             raise InvalidInputError("fitchange_tol must be positive")
         if self.init not in ("random", "hosvd"):
             raise InvalidInputError(f"unknown init {self.init!r}")
-        if self.svd_mode not in ("dense", "iterative"):
-            raise InvalidInputError(f"unknown svd_mode {self.svd_mode!r}")
 
 
 @dataclass
@@ -210,18 +208,6 @@ def _validate_schedule(schedule, d):
     return [(int(i), int(j)) for i, j in schedule]
 
 
-def _make_svd(cfg):
-    if cfg.svd_mode == "dense":
-        return lambda mat, start=None: linalg.top_singular_triple(mat, mode="dense")
-    return lambda mat, start=None: linalg.top_singular_triple(
-        mat,
-        mode="iterative",
-        max_iters=cfg.svd_max_iters,
-        tol=cfg.svd_tol,
-        start=start,
-    )
-
-
 def _single_mode_update(arr, vecs, i, work):
     v = kernels.contract_all_but_one(arr, vecs, i)
     work.opt_calls += 1
@@ -231,12 +217,12 @@ def _single_mode_update(arr, vecs, i, work):
     return nv, v / nv
 
 
-def _pair_update(arr, vecs, i, j, work, svd):
+def _pair_update(arr, vecs, i, j, work):
     mat = kernels.contract_all_but_two(arr, vecs, i, j)
     work.opt_calls += 1
     if not np.any(mat):
         raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero")
-    return svd(mat, start=vecs[j])
+    return linalg.top_singular_triple(mat)
 
 
 def _als_sweep(arr, vecs, work):
@@ -247,10 +233,10 @@ def _als_sweep(arr, vecs, work):
     return f
 
 
-def _asvd_sweep(arr, vecs, work, schedule, svd):
+def _asvd_sweep(arr, vecs, work, schedule):
     f = None
     for i, j in schedule:
-        triple = _pair_update(arr, vecs, i, j, work, svd)
+        triple = _pair_update(arr, vecs, i, j, work)
         vecs[i], vecs[j] = triple.u, triple.v
         f = triple.sigma
         work.substeps.append(SubStep(modes=(i, j), f_after=f))
@@ -287,7 +273,7 @@ def _mals_sweep(arr, vecs, work):
     return f
 
 
-def _masvd_sweep(arr, vecs, work, svd):
+def _masvd_sweep(arr, vecs, work):
     # Candidate k freezes x_k and replaces the other two vectors by the top
     # singular pair of the contracted matrix; it depends on x_k only.
     versions = [0, 0, 0]
@@ -300,7 +286,7 @@ def _masvd_sweep(arr, vecs, work, svd):
             entry = cache.get(k)
             if entry is None or entry[3] != versions[k]:
                 i, j = (m for m in range(3) if m != k)
-                triple = _pair_update(arr, vecs, i, j, work, svd)
+                triple = _pair_update(arr, vecs, i, j, work)
                 entry = (triple.sigma, triple.u, triple.v, versions[k])
                 cache[k] = entry
             candidates[k] = entry[0]
@@ -340,7 +326,7 @@ def asvd_sweep(t, u, schedule=None):
         schedule if schedule is not None else default_pair_schedule(t.ndim), t.ndim
     )
     vecs = [v.copy() for v in u.vectors]
-    _asvd_sweep(t.array, vecs, _Work(), schedule, _make_svd(SolverConfig(method="asvd")))
+    _asvd_sweep(t.array, vecs, _Work(), schedule)
     return UnitTuple(vecs)
 
 
@@ -355,7 +341,7 @@ def masvd_sweep(t, u):
     """One greedy best-candidate-first sweep of pair updates (3-mode only)."""
     _check_method_dims("masvd", t.ndim)
     vecs = [v.copy() for v in u.vectors]
-    _masvd_sweep(t.array, vecs, _Work(), _make_svd(SolverConfig(method="masvd")))
+    _masvd_sweep(t.array, vecs, _Work())
     return UnitTuple(vecs)
 
 
@@ -391,7 +377,6 @@ def solve(t, cfg=None, initial=None):
     f_current = f_value(t, u0)
     trace = SolverTrace(f_initial=f_current)
 
-    svd = _make_svd(cfg)
     if cfg.method == "asvd":
         schedule = _validate_schedule(
             cfg.pair_schedule
@@ -409,11 +394,11 @@ def solve(t, cfg=None, initial=None):
         if cfg.method == "als":
             f_after = _als_sweep(arr, vecs, work)
         elif cfg.method == "asvd":
-            f_after = _asvd_sweep(arr, vecs, work, schedule, svd)
+            f_after = _asvd_sweep(arr, vecs, work, schedule)
         elif cfg.method == "mals":
             f_after = _mals_sweep(arr, vecs, work)
         else:
-            f_after = _masvd_sweep(arr, vecs, work, svd)
+            f_after = _masvd_sweep(arr, vecs, work)
         elapsed = time.perf_counter() - started
 
         opt_calls += work.opt_calls

@@ -2,9 +2,9 @@
 
 Each test covers one numbered criterion at its stated tolerance and prints a
 single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -s`` to see
-them). Criterion 4 checks the traces recorded by criteria 1-3, so the
-module is meant to run in file order; criteria 6 and 7 share their solves
-through a module-scoped fixture and run in any order.
+them). Criteria 1-4 share their solves through one module-scoped fixture
+(criterion 4 checks the traces of criteria 1-3's solves), and criteria 6
+and 7 through another, so each criterion runs alone and in any order.
 """
 
 import time
@@ -37,24 +37,27 @@ METHODS = ("als", "asvd", "mals", "masvd")
 #: the semi-maximality level each modified method promises (criterion 6)
 SEMI_MAX_LEVEL = {"mals": 1, "masvd": 2}
 
-#: traces shared across criteria (filled in file order)
-_SHARED = {"traces": []}
-
-
 def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"\n[criterion {num:02d}] {name}: {status}{suffix}")
 
 
-def test_criterion_01_exact_rank_one_recovery():
-    shapes = [(2, 2, 2), (3, 4, 5), (8, 8, 8)]
-    scales = [1.0, 7.0, 1e-3]
-    failures = []
+@pytest.fixture(scope="module")
+def early_solves():
+    """The solves of criteria 1-3, whose traces criterion 4 checks.
+
+    Keys: ``recovery``, a list of (shape, scale, method, seed, axes, result)
+    for planted rank-one tensors, with ``recovery_seconds`` their summed
+    solve time; ``matrix``, a list of (matrix, result); ``cubes``, a list of
+    (tensor, [result per start]) for Gaussian 2x2x2 tensors; ``traces``, a
+    list of (|T|, trace) over all of them.
+    """
+    recovery, matrix, cubes, traces = [], [], [], []
     elapsed = 0.0
     case = 0
-    for shape in shapes:
-        for scale in scales:
+    for shape in [(2, 2, 2), (3, 4, 5), (8, 8, 8)]:
+        for scale in [1.0, 7.0, 1e-3]:
             t, axes = planted_rank1(shape, scale, seed=case)
             case += 1
             for method in METHODS:
@@ -62,19 +65,8 @@ def test_criterion_01_exact_rank_one_recovery():
                     started = time.perf_counter()
                     result = solve(t, SolverConfig(method=method, seed=seed))
                     elapsed += time.perf_counter() - started
-                    _SHARED["traces"].append((t.norm(), result.trace))
-                    if abs(result.lambda_ - scale) > 1e-8 * scale:
-                        failures.append((shape, scale, method, seed, "lambda"))
-                    if not tuple_matches(result.axes, axes, 1e-6):
-                        failures.append((shape, scale, method, seed, "axes"))
-    ok = not failures and elapsed < 1.0
-    _report(1, "exact rank-one recovery", ok, f"360 solves in {elapsed:.3f}s")
-    assert not failures, failures[:5]
-    assert elapsed < 1.0
-
-
-def test_criterion_02_matrix_baseline_matches_svd():
-    worst = 0.0
+                    traces.append((t.norm(), result.trace))
+                    recovery.append((shape, scale, method, seed, axes, result))
     for k, shape in enumerate([(5, 5)] * 10 + [(10, 7)] * 10):
         a = np.random.default_rng(2000 + k).standard_normal(shape)
         result = solve(
@@ -83,20 +75,11 @@ def test_criterion_02_matrix_baseline_matches_svd():
                 method="als", seed=k, max_iterations=50_000, fitchange_tol=1e-15
             ),
         )
-        _SHARED["traces"].append((float(np.linalg.norm(a)), result.trace))
-        sigma = oracles.top_sigma(a)
-        worst = max(worst, abs(result.lambda_ - sigma) / sigma)
-    ok = worst <= 1e-8
-    _report(2, "matrix baseline vs full SVD", ok, f"worst rel err {worst:.2e}")
-    assert ok
-
-
-def test_criterion_03_global_optimum_oracle_small_cubes():
-    worst = 0.0
+        traces.append((float(np.linalg.norm(a)), result.trace))
+        matrix.append((a, result))
     for k in range(10):
         t = random_tensor((2, 2, 2), 3000 + k)
-        oracle = oracles.grid_max_2x2x2(t.array)
-        best = -np.inf
+        results = []
         for seed in range(20):
             result = solve(
                 t,
@@ -104,18 +87,57 @@ def test_criterion_03_global_optimum_oracle_small_cubes():
                     method="als", seed=seed, max_iterations=300, fitchange_tol=1e-13
                 ),
             )
-            _SHARED["traces"].append((t.norm(), result.trace))
-            best = max(best, result.lambda_)
+            traces.append((t.norm(), result.trace))
+            results.append(result)
+        cubes.append((t, results))
+    return {
+        "recovery": recovery,
+        "recovery_seconds": elapsed,
+        "matrix": matrix,
+        "cubes": cubes,
+        "traces": traces,
+    }
+
+
+def test_criterion_01_exact_rank_one_recovery(early_solves):
+    failures = []
+    for shape, scale, method, seed, axes, result in early_solves["recovery"]:
+        if abs(result.lambda_ - scale) > 1e-8 * scale:
+            failures.append((shape, scale, method, seed, "lambda"))
+        if not tuple_matches(result.axes, axes, 1e-6):
+            failures.append((shape, scale, method, seed, "axes"))
+    elapsed = early_solves["recovery_seconds"]
+    ok = not failures and elapsed < 1.0
+    _report(1, "exact rank-one recovery", ok, f"360 solves in {elapsed:.3f}s")
+    assert not failures, failures[:5]
+    assert elapsed < 1.0
+
+
+def test_criterion_02_matrix_baseline_matches_svd(early_solves):
+    worst = 0.0
+    for a, result in early_solves["matrix"]:
+        sigma = oracles.top_sigma(a)
+        worst = max(worst, abs(result.lambda_ - sigma) / sigma)
+    ok = worst <= 1e-8
+    _report(2, "matrix baseline vs full SVD", ok, f"worst rel err {worst:.2e}")
+    assert ok
+
+
+def test_criterion_03_global_optimum_oracle_small_cubes(early_solves):
+    worst = 0.0
+    for t, results in early_solves["cubes"]:
+        oracle = oracles.grid_max_2x2x2(t.array)
+        best = max(result.lambda_ for result in results)
         worst = max(worst, abs(best - oracle))
     ok = worst <= 1e-4
     _report(3, "global optimum vs angular grid search", ok, f"worst gap {worst:.2e}")
     assert ok
 
 
-def test_criterion_04_monotone_bounded_traces():
-    assert _SHARED["traces"], "criteria 1-3 must run first"
+def test_criterion_04_monotone_bounded_traces(early_solves):
+    traces = early_solves["traces"]
     violations = 0
-    for norm, trace in _SHARED["traces"]:
+    for norm, trace in traces:
         values = list(trace.f_sequence())
         slack = 1e-12 * norm
         if any(b < a - slack for a, b in zip(values, values[1:])):
@@ -123,12 +145,7 @@ def test_criterion_04_monotone_bounded_traces():
         if max(values) > norm * (1.0 + 1e-12):
             violations += 1
     ok = violations == 0
-    _report(
-        4,
-        "monotone and bounded objective traces",
-        ok,
-        f"{len(_SHARED['traces'])} traces",
-    )
+    _report(4, "monotone and bounded objective traces", ok, f"{len(traces)} traces")
     assert ok
 
 

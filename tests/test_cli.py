@@ -46,6 +46,17 @@ class TestDecompose:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_entry_is_input_error(self, tmp_path, capsys, method, token):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"3\n2 2 2\n1 2 3 {token} 5 6 7 8\n")
+        code = cli.main(["decompose", "--input", str(bad), "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_missing_file(self, capsys):
         assert cli.main(["decompose", "--input", "/nonexistent/t.txt"]) == 1
 
@@ -113,6 +124,14 @@ class TestVerify:
         report = parse_report(capsys.readouterr().out)
         assert code == 3
         assert 1e-4 <= float(report["max_residual"]) <= 1.0  # about 1e-2 scale
+
+    def test_non_finite_tuple_is_input_error(self, plant_files, tmp_path, capsys):
+        _, _, tensor_path, _ = plant_files
+        bad = tmp_path / "bad_axes.txt"
+        bad.write_text("3\n3 3 3\n1 0 0\n0 nan 0\n0 0 1\n")
+        code = cli.main(["verify", "--input", tensor_path, "--tuple", str(bad)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_level_two_needs_three_modes(self, tmp_path, capsys):
         t, axes = planted_rank1((2, 2, 2, 2), 1.0, 2)

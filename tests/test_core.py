@@ -3,6 +3,7 @@ import pytest
 
 from rank1tensor import (
     DimensionError,
+    InvalidInputError,
     Rank1Tensor,
     Tensor,
     UnitTuple,
@@ -35,11 +36,37 @@ class TestTensor:
         assert Tensor.zeros((3, 2)).norm() == 0.0
         assert random_tensor((3, 2), 0).norm() > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        arr = np.ones((3, 3, 3))
+        arr[1, 2, 0] = bad
+        for make in (Tensor, lambda a: Tensor(a, copy=False),
+                     lambda a: Tensor.from_flat(a.shape, a.ravel())):
+            with pytest.raises(InvalidInputError):
+                make(arr)
+
+    def test_copy_false_has_asarray_semantics(self):
+        t = Tensor([[1, 2], [3, 4]], copy=False)
+        assert t.array.dtype == np.float64 and t.array.flags.c_contiguous
+        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
+        strided = Tensor(np.arange(6).reshape(2, 3).T, copy=False)
+        assert strided.array.flags.c_contiguous
+        assert strided.array.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+        arr = np.ones((2, 3))
+        assert Tensor(arr, copy=False).array is arr
+        assert Tensor(arr).array is not arr
+
 
 class TestUnitTuple:
     def test_rejects_off_sphere(self):
         with pytest.raises(DimensionError):
             UnitTuple([np.array([1.0, 1.0])])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad, normalize):
+        with pytest.raises(InvalidInputError):
+            UnitTuple([np.array([0.6, 0.8]), np.array([1.0, bad])], normalize=normalize)
 
     def test_normalize_flag(self):
         u = UnitTuple([np.array([3.0, 4.0])], normalize=True)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from rank1tensor import DegenerateInputError, InvalidInputError
-from rank1tensor.linalg import inertia, symmetric_eig, top_singular_triple
+from rank1tensor.linalg import (
+    FIRST_CHECK_SQUARINGS,
+    SQUARING_MIN_SIDE,
+    _certified_top_eigvec,
+    inertia,
+    symmetric_eig,
+    top_singular_triple,
+)
 
 import oracles
 
@@ -135,45 +142,91 @@ class TestTopSingularTripleDense:
 
 
 class TestTopSingularTripleIterative:
-    def test_never_exceeds_dense(self):
+    """Mode 'auto': the certified repeated-squaring route from
+    SQUARING_MIN_SIDE up, with the dense route as its fallback."""
+
+    @staticmethod
+    def sign_free_distance(x, y):
+        return min(np.linalg.norm(x - y), np.linalg.norm(x + y))
+
+    @pytest.mark.parametrize(
+        "shape", [(24, 24), (32, 32), (64, 64), (40, 24), (24, 40)]
+    )
+    def test_agrees_with_numpy_svd(self, shape):
+        for seed in range(5):
+            a = np.random.default_rng([40, seed]).standard_normal(shape)
+            trip = top_singular_triple(a)
+            assert trip.squarings > 0  # certified, no fallback
+            u_ref, s_ref, vt_ref = np.linalg.svd(a)
+            assert trip.sigma == pytest.approx(s_ref[0], rel=1e-13)
+            assert self.sign_free_distance(trip.u, u_ref[:, 0]) <= 1e-10
+            assert self.sign_free_distance(trip.v, vt_ref[0]) <= 1e-10
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(41)
+        p = rng.standard_normal(32)
+        p *= 2.0 / np.linalg.norm(p)
+        q = rng.standard_normal(48)
+        q *= 5.0 / np.linalg.norm(q)
+        trip = top_singular_triple(np.outer(p, q))
+        assert trip.squarings == FIRST_CHECK_SQUARINGS
+        assert trip.sigma == pytest.approx(10.0, rel=1e-13)
+        assert self.sign_free_distance(trip.u, p / 2.0) <= 1e-12
+        assert self.sign_free_distance(trip.v, q / 5.0) <= 1e-12
+
+    @staticmethod
+    def plus_minus_sigma(n, seed):
+        # symmetric, eigenvalues 5 and -5 on top: the Gram top is tied
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigenvalues = np.concatenate([[5.0, -5.0], rng.uniform(-4.0, 4.0, n - 2)])
+        return (q * eigenvalues) @ q.T
+
+    @pytest.mark.parametrize("case", ["diagonal", "plus_minus_sigma"])
+    def test_degenerate_top_falls_back_to_dense(self, case):
+        n = 32
         for seed in range(10):
-            a = np.random.default_rng(20 + seed).standard_normal((9, 5))
-            dense = top_singular_triple(a, mode="dense").sigma
-            it = top_singular_triple(a, mode="iterative", max_iters=4, tol=1e-14)
-            assert it.sigma <= dense + 1e-8 * np.linalg.norm(a)
+            if case == "diagonal":
+                a = np.diag([3.0, 3.0] + [1.0] * (n - 2))
+                sigma = 3.0
+            else:
+                a = self.plus_minus_sigma(n, 42 + seed)
+                sigma = 5.0
+            gram = a @ a.T
+            assert _certified_top_eigvec(gram) is None
+            trip = top_singular_triple(a)
+            assert trip.squarings == 0  # the dense route answered
+            assert trip.sigma == pytest.approx(sigma, rel=1e-13)
+            assert np.linalg.norm(a @ trip.v - trip.sigma * trip.u) <= 1e-12 * sigma
+            assert np.linalg.norm(a.T @ trip.u - trip.sigma * trip.v) <= 1e-12 * sigma
 
-    def test_converged_agrees_with_dense(self):
-        a = np.random.default_rng(30).standard_normal((9, 5))
-        dense = top_singular_triple(a, mode="dense").sigma
-        it = top_singular_triple(a, mode="iterative", max_iters=5000, tol=1e-14)
-        assert it.converged
-        assert abs(it.sigma - dense) <= 1e-8 * np.linalg.norm(a)
-
-    def test_unconverged_is_flagged_not_fatal(self):
-        # nearly equal top singular values force slow convergence
-        a = np.diag([1.0, 0.9999])
-        it = top_singular_triple(a, mode="iterative", max_iters=2, tol=1e-16)
-        assert not it.converged
-        assert it.sigma > 0
-
-    def test_rayleigh_ascent_from_seed_vector(self):
-        # seeding with a current iterate can only improve the quotient
-        rng = np.random.default_rng(33)
-        for seed in range(10):
-            a = rng.standard_normal((6, 4))
-            v0 = rng.standard_normal(4)
-            v0 /= np.linalg.norm(v0)
-            before = np.linalg.norm(a @ v0)
-            it = top_singular_triple(a, mode="iterative", max_iters=1, tol=0.0, start=v0)
-            assert it.sigma >= before - 1e-12
+    def test_sign_convention(self):
+        a = np.random.default_rng(43).standard_normal((32, 40))
+        trip1 = top_singular_triple(a)
+        trip2 = top_singular_triple(-a)  # same Gram matrix
+        assert trip1.squarings > 0
+        assert trip1.u[np.argmax(np.abs(trip1.u) > 1e-12)] > 0
+        assert np.array_equal(trip1.u, trip2.u)
+        assert np.array_equal(trip1.v, -trip2.v)
 
     def test_auto_threshold(self):
-        small = np.random.default_rng(34).standard_normal((4, 4))
-        assert top_singular_triple(small, mode="auto").converged
+        side = SQUARING_MIN_SIDE - 1
+        a = np.random.default_rng(34).standard_normal((side, side + 5))
+        auto = top_singular_triple(a, mode="auto")
+        dense = top_singular_triple(a, mode="dense")
+        assert auto.squarings == 0
+        assert auto.sigma == dense.sigma
+        assert np.array_equal(auto.u, dense.u) and np.array_equal(auto.v, dense.v)
 
     def test_auto_picks_iterative_above_side_limit(self):
-        a = np.random.default_rng(35).standard_normal((70, 70))
-        auto = top_singular_triple(a, mode="auto", max_iters=5000, tol=1e-14)
-        dense = top_singular_triple(a, mode="dense")
-        assert auto.iterations > 0  # the iterative path ran
-        assert abs(auto.sigma - dense.sigma) <= 1e-8 * np.linalg.norm(a)
+        for side in (SQUARING_MIN_SIDE, 70):
+            a = np.random.default_rng(35).standard_normal((side + 3, side))
+            auto = top_singular_triple(a, mode="auto")
+            dense = top_singular_triple(a, mode="dense")
+            assert auto.squarings > 0  # the squaring route answered
+            assert abs(auto.sigma - dense.sigma) <= 1e-13 * dense.sigma
+            assert self.sign_free_distance(auto.u, dense.u) <= 1e-10
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidInputError):
+            top_singular_triple(np.eye(3), mode="iterative")

@@ -11,6 +11,8 @@ from rank1tensor import (
     f_value,
 )
 from rank1tensor.core import contract_vectors, contract_vectors_pair
+from rank1tensor import linalg
+from rank1tensor.diagnostics import check_semi_max
 from rank1tensor.linalg import top_singular_triple
 from rank1tensor.solvers import (
     SolverConfig,
@@ -357,19 +359,35 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve(t, SolverConfig(), initial=random_tuple((3, 3, 2), 46))
 
-    def test_iterative_svd_mode_stays_monotone(self):
-        t = random_tensor((5, 4, 3), 31)
-        cfg = SolverConfig(
-            method="asvd",
-            seed=32,
-            svd_mode="iterative",
-            svd_max_iters=2,
-            svd_tol=1e-15,
-            max_iterations=40,
-            fitchange_tol=1e-12,
+    @pytest.mark.parametrize("method", ["asvd", "masvd"])
+    def test_squaring_route_matches_dense_route(self, method, monkeypatch):
+        # 32x32 pair matrices take the squaring route; the pair step looks
+        # top_singular_triple up at call time, so the dense route can be
+        # patched in for the reference run
+        t = random_tensor((32, 32, 32), 47)
+        cfg = SolverConfig(method=method, seed=48, max_iterations=2000,
+                           fitchange_tol=1e-12)
+        squarings = []
+        original = linalg.top_singular_triple
+
+        def spy(a, mode="auto"):
+            triple = original(a, mode)
+            squarings.append(triple.squarings)
+            return triple
+
+        monkeypatch.setattr(linalg, "top_singular_triple", spy)
+        fast = solve(t, cfg)
+        assert squarings and min(squarings) > 0  # no fallback
+        assert monotone(fast.trace, t.norm())
+        if method == "masvd":
+            assert check_semi_max(t, fast.axes, level=2).passed
+        monkeypatch.setattr(
+            linalg, "top_singular_triple", lambda a: original(a, mode="dense")
         )
-        result = solve(t, cfg)
-        assert monotone(result.trace, t.norm())
+        dense = solve(t, cfg)
+        assert fast.lambda_ == pytest.approx(dense.lambda_, rel=1e-12)
+        assert fast.iterations == dense.iterations
+        assert fast.optimization_calls == dense.optimization_calls
 
     def test_custom_pair_schedule(self):
         t = random_tensor((3, 3, 3), 33)
