@@ -29,7 +29,6 @@ from .errors import (
     SingularBlockError,
     UnsupportedError,
 )
-from .kernels import backend_name
 from .solvers import Rank1Result, SolverConfig, SolverTrace, solve
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "SolverTrace",
     "Rank1Result",
     "solve",
-    "backend_name",
     "Rank1Error",
     "DimensionError",
     "InvalidInputError",

@@ -24,6 +24,8 @@ from .errors import (
 )
 
 UNIT_NORM_TOL = 1e-12
+#: a norm below this squared to a subnormal, losing precision to underflow
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 class Tensor:
@@ -90,6 +92,20 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
+def _scaled_norm(v):
+    """|v| for a vector about to be normalized. When the sum of squares
+    overflows or underflows, a finite nonzero ``v`` is first divided in place
+    by max|v|, so only such extreme vectors pay for the second pass."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not _SQRT_TINY <= n < math.inf:
+        scale = np.max(np.abs(v))
+        if 0.0 < scale < math.inf:  # NaN, Inf and zero keep their norm
+            v /= scale
+            n = np.linalg.norm(v)
+    return n
+
+
 class UnitTuple:
     """A point on the product of unit spheres: one unit vector per mode."""
 
@@ -101,7 +117,7 @@ class UnitTuple:
             v = np.array(v, dtype=np.float64, copy=True, order="C")
             if v.ndim != 1 or v.size < 1:
                 raise DimensionError(f"component {j} is not a nonempty vector")
-            n = np.linalg.norm(v)
+            n = _scaled_norm(v) if normalize else np.linalg.norm(v)
             if not math.isfinite(n):
                 raise InvalidInputError(
                     f"component {j} has non-finite norm {float(n)!r}"

@@ -1,46 +1,47 @@
-"""Backend selection for the hot contraction kernels.
+"""The contraction kernels behind every solver step and diagnostic.
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-NumPy implementation is used. Set ``RANK1TENSOR_KERNELS=numpy`` (or
-``cython``) to force a backend, e.g. for the comparison benchmark.
+``contract_all_but_one`` contracts a tensor against one vector per mode,
+leaving one mode: the single-mode update of als and mals, and every
+stationarity check. ``contract_all_but_two`` leaves two modes, giving the
+matrix whose top singular pair the asvd and masvd pair steps take.
+
+Call contract: ``arr`` is a C-contiguous float64 ndarray and ``vectors`` a
+sequence of 1-D float64 arrays, one per mode; the entries for kept modes
+are ignored. The result is a new array, never a view of ``arr``.
+
+Each mode is reduced by one BLAS matrix-vector product over a reshaped
+view, so no reduction makes a transposed copy of the tensor:
+
+* modes after the last kept one, from the highest down: the trailing axis
+  is the last, so ``out.reshape(-1, m) @ v``;
+* modes before the first kept one: the leading axis is the first, so
+  ``v @ out.reshape(m, -1)``;
+* modes between the two kept ones, from the highest down: the axis sits
+  just before the last kept mode, so ``v @ out.reshape(-1, m, m_keep_j)``,
+  one product per leading index.
 """
 
-import os
 
-from . import _kernels_py
-
-_BACKENDS = {"numpy": _kernels_py}
-try:
-    from . import _kernels as _compiled
-except ImportError:
-    _compiled = None
-else:
-    _BACKENDS["cython"] = _compiled
-
-_requested = os.environ.get("RANK1TENSOR_KERNELS", "").strip().lower()
-if _requested:
-    if _requested not in _BACKENDS:
-        raise ImportError(
-            f"RANK1TENSOR_KERNELS={_requested!r} is not available; "
-            f"choices: {sorted(_BACKENDS)}"
-        )
-    _active = _BACKENDS[_requested]
-else:
-    _active = _compiled if _compiled is not None else _kernels_py
-
-contract_all_but_one = _active.contract_all_but_one
-contract_all_but_two = _active.contract_all_but_two
+def _contract_outside(arr, vectors, lo, hi):
+    # contract every mode except ``lo`` and ``hi``; lo == hi keeps one mode
+    shape = arr.shape
+    out = arr
+    for mode in range(arr.ndim - 1, hi, -1):
+        out = out.reshape(-1, shape[mode]) @ vectors[mode]
+    for mode in range(lo):
+        out = vectors[mode] @ out.reshape(shape[mode], -1)
+    for mode in range(hi - 1, lo, -1):
+        out = vectors[mode] @ out.reshape(-1, shape[mode], shape[hi])
+    if out is arr:  # nothing contracted
+        return arr.copy()
+    return out.reshape(shape[lo], shape[hi]) if hi > lo else out
 
 
-def backend_name():
-    """Name of the active kernel backend ('cython' or 'numpy')."""
-    return _active.BACKEND_NAME
+def contract_all_but_one(arr, vectors, keep):
+    """Contract every mode of ``arr`` except ``keep``; returns a 1-D array."""
+    return _contract_outside(arr, vectors, keep, keep)
 
 
-def available_backends():
-    return sorted(_BACKENDS)
-
-
-def get_backend(name):
-    """Return a specific backend module (for side-by-side benchmarking)."""
-    return _BACKENDS[name]
+def contract_all_but_two(arr, vectors, keep_i, keep_j):
+    """Contract every mode except ``keep_i < keep_j``; returns a matrix."""
+    return _contract_outside(arr, vectors, keep_i, keep_j)

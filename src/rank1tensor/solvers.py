@@ -220,9 +220,10 @@ def _single_mode_update(arr, vecs, i, work):
 def _pair_update(arr, vecs, i, j, work):
     mat = kernels.contract_all_but_two(arr, vecs, i, j)
     work.opt_calls += 1
-    if not np.any(mat):
-        raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero")
-    return linalg.top_singular_triple(mat)
+    try:
+        return linalg.top_singular_triple(mat)
+    except DegenerateInputError as exc:
+        raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero") from exc
 
 
 def _als_sweep(arr, vecs, work):

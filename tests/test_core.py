@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rank1tensor import (
+    DegenerateInputError,
     DimensionError,
     InvalidInputError,
     Rank1Tensor,
@@ -71,6 +74,18 @@ class TestUnitTuple:
     def test_normalize_flag(self):
         u = UnitTuple([np.array([3.0, 4.0])], normalize=True)
         assert np.allclose(u[0], [0.6, 0.8])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalize_extreme_finite_scale(self, scale):
+        # the plain sum of squares overflows (1e400) or underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = UnitTuple([[scale, scale]], normalize=True)
+        assert np.allclose(u[0], [2**-0.5, 2**-0.5], rtol=1e-15, atol=0)
+
+    def test_normalize_rejects_zero_vector(self):
+        with pytest.raises(DegenerateInputError):
+            UnitTuple([[0.0, 0.0]], normalize=True)
 
     def test_unit_norms_within_tolerance(self):
         u = random_tuple((4, 5, 6), 3)

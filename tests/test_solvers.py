@@ -125,8 +125,9 @@ class TestAlsSweep:
         e0 = np.array([1.0, 0.0])
         e1 = np.array([0.0, 1.0])
         t = Rank1Tensor(1.0, UnitTuple([e0, e0, e0])).to_tensor()
-        with pytest.raises(BreakdownError):
-            als_sweep(t, UnitTuple([e1, e1, e1]))
+        for sweep in (als_sweep, mals_sweep, asvd_sweep, masvd_sweep):
+            with pytest.raises(BreakdownError, match="contraction collapsed to zero"):
+                sweep(t, UnitTuple([e1, e1, e1]))
 
 
 class TestAsvdSweep:
