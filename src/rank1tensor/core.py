@@ -24,8 +24,8 @@ from .errors import (
 )
 
 UNIT_NORM_TOL = 1e-12
-#: a norm below this squared to a subnormal, losing precision to underflow
-_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+#: a sum of squares below this is subnormal, having lost precision to underflow
+_TINY = np.finfo(np.float64).tiny
 
 
 class Tensor:
@@ -82,8 +82,10 @@ class Tensor:
         return self.array.reshape(-1)
 
     def norm(self):
-        """Hilbert-Schmidt (Frobenius) norm."""
-        return float(np.linalg.norm(self.data))
+        """Hilbert-Schmidt (Frobenius) norm, without overflow or underflow
+        for any finite entries whose norm is a float."""
+        _, scale, sq = split_scale(self.array)
+        return scale * math.sqrt(sq)
 
     def copy(self):
         return Tensor(self.array, copy=True)
@@ -92,18 +94,26 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-def _scaled_norm(v):
-    """|v| for a vector about to be normalized. When the sum of squares
-    overflows or underflows, a finite nonzero ``v`` is first divided in place
-    by max|v|, so only such extreme vectors pay for the second pass."""
+def split_scale(arr):
+    """Write ``arr`` as ``scale * a``; returns ``(a, scale, |a|^2)``.
+
+    The sum of squares takes one pass over ``arr``. When it is a normal
+    float, ``a`` is ``arr`` itself and ``scale`` is 1. When it overflows or
+    falls below the smallest normal float, a finite nonzero ``arr`` is
+    divided by max|arr| into a new array, so only such extreme arrays pay
+    for the copy and the second pass. NaN, Inf and zero keep scale 1.
+    """
+    flat = arr.reshape(-1)
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
-    if not _SQRT_TINY <= n < math.inf:
-        scale = np.max(np.abs(v))
-        if 0.0 < scale < math.inf:  # NaN, Inf and zero keep their norm
-            v /= scale
-            n = np.linalg.norm(v)
-    return n
+        sq = float(np.dot(flat, flat))
+    if _TINY <= sq < math.inf:
+        return arr, 1.0, sq
+    scale = float(np.max(np.abs(flat)))
+    if not 0.0 < scale < math.inf:
+        return arr, 1.0, sq
+    arr = arr / scale
+    flat = arr.reshape(-1)
+    return arr, scale, float(np.dot(flat, flat))
 
 
 class UnitTuple:
@@ -117,7 +127,11 @@ class UnitTuple:
             v = np.array(v, dtype=np.float64, copy=True, order="C")
             if v.ndim != 1 or v.size < 1:
                 raise DimensionError(f"component {j} is not a nonempty vector")
-            n = _scaled_norm(v) if normalize else np.linalg.norm(v)
+            if normalize:
+                v, _, sq = split_scale(v)
+                n = math.sqrt(sq)
+            else:
+                n = np.linalg.norm(v)
             if not math.isfinite(n):
                 raise InvalidInputError(
                     f"component {j} has non-finite norm {float(n)!r}"
@@ -262,8 +276,13 @@ def residual_norm(t, u):
     Equals sqrt(|T|^2 - f_value(T, u)^2) by the Pythagoras split of ``t``
     into its projection onto the rank-one line and the complement.
     """
-    nrm2 = float(np.dot(t.data, t.data))
-    f = f_value(t, u)
+    return residual_from(float(np.dot(t.data, t.data)), f_value(t, u))
+
+
+def residual_from(nrm2, f):
+    """sqrt(|T|^2 - f^2) from |T|^2 and the objective at a unit tuple;
+    raises :class:`NumericsError` when the radicand is negative beyond
+    rounding, which no unit tuple allows."""
     radicand = nrm2 - f * f
     if radicand < -1e-10 * nrm2:
         raise NumericsError(

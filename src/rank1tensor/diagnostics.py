@@ -67,8 +67,7 @@ def criticality(t, u):
         raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
     lambdas = []
     residuals = []
-    for i in range(t.ndim):
-        v = kernels.contract_all_but_one(t.array, u.vectors, i)
+    for i, v in enumerate(_contractions(t, u.vectors)):
         lam = float(np.dot(u.vectors[i], v))
         lambdas.append(lam)
         residuals.append(float(np.linalg.norm(v - lam * u.vectors[i])))
@@ -98,17 +97,17 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
         raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
     slack = tol * t.norm()
-    f = f_value(t, u)
     checks = []
     if level == 1:
-        for i in range(t.ndim):
-            best = float(
-                np.linalg.norm(kernels.contract_all_but_one(t.array, u.vectors, i))
-            )
-            margin = f - best
+        contractions = _contractions(t, u.vectors)
+        # the mode-0 contraction is the one f_value takes, in the same order
+        f = float(np.dot(u.vectors[0], contractions[0]))
+        for i, v in enumerate(contractions):
+            margin = f - float(np.linalg.norm(v))
             checks.append(SemiMaxCheck(index=i, margin=margin, passed=margin >= -slack))
         return SemiMaxReport(level="one_semi", tol=tol, checks=checks)
 
+    f = f_value(t, u)
     for k in range(3):
         i, j = (m for m in range(3) if m != k)
         mat = kernels.contract_all_but_two(t.array, u.vectors, i, j)
@@ -157,7 +156,14 @@ def apply_F(t, vectors):
             raise DimensionError(
                 f"component {i} has shape {v.shape}, expected ({t.dims[i]},)"
             )
-    return [kernels.contract_all_but_one(t.array, vecs, i) for i in range(d)]
+    return _contractions(t, vecs)
+
+
+def _contractions(t, vectors):
+    # every all-but-one contraction at one tuple, in mode order
+    out = {}
+    kernels.contract_each(t.array, vectors, range(t.ndim), out.__setitem__)
+    return [out[i] for i in range(t.ndim)]
 
 
 def fixed_point_residual(t, vectors):

@@ -10,6 +10,8 @@ Block matrix:  line 1 the order L, line 2 the block sizes (summing to L),
 Vector file:   whitespace-separated entries.
 """
 
+import math
+
 import numpy as np
 
 from .core import Tensor, UnitTuple
@@ -30,9 +32,12 @@ def _parse_int(token, line, what):
 
 def _parse_float(token, line, what):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(line, f"{what}: {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(line, f"{what}: {token!r} is non-finite")
+    return value
 
 
 def _parse_header(lines, count_what, dims_what):

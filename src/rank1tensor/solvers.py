@@ -18,14 +18,23 @@ product of unit spheres:
   Guarantees accumulation at points maximal in every pair of modes.
 
 Every candidate-generating contraction counts as one optimization call.
+The single-mode methods form their contractions with
+:func:`kernels.contract_each`: an als sweep is one dimension-tree pass and
+each mals round computes all of its stale candidates in one call, so an als
+sweep reads the tensor twice and a mals sweep d + 1 times.
 The pair steps take the top singular pair from
 :func:`linalg.top_singular_triple` in its default mode, which does not
 depend on the current iterate.
 All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
 ``max_iterations`` sweeps have run.
+
+The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
+tensor whose sum of squares overflows or underflows is solved as
+T / max|T| and its results are scaled back.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, linalg
-from .core import UnitTuple, f_value, residual_norm, unfold
+from .core import Tensor, UnitTuple, f_value, residual_from, split_scale, unfold
 from .errors import (
     BreakdownError,
     DegenerateInputError,
@@ -58,7 +67,6 @@ class SolverConfig:
     fitchange_tol: float = 1e-4
     init: str = "random"
     seed: object = 0
-    pair_schedule: Optional[list] = None  # asvd only; None picks the default
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -139,24 +147,34 @@ class _Work:
 
 def init_random(dims, seed=0, tensor=None, max_retries=100):
     """Uniformly random point on the sphere product (normalized Gaussians),
-    deterministic per seed. When ``tensor`` is given, resamples until the
-    objective is nonzero (bounded retries)."""
+    deterministic per seed (a ``np.random.Generator`` is drawn from in
+    place). When ``tensor`` is given, resamples until the objective is
+    nonzero (bounded retries)."""
+    if tensor is not None:
+        return _random_start(dims, seed, tensor, max_retries)[0]
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 for m in dims):
         raise DimensionError(f"invalid dims {dims}")
     rng = np.random.default_rng(seed)
+    vecs = []
+    for m in dims:
+        while True:
+            g = rng.standard_normal(m)
+            n = np.linalg.norm(g)
+            if n > 0.0:
+                break
+        vecs.append(g / n)
+    return UnitTuple(vecs)
+
+
+def _random_start(dims, seed, t, max_retries=100):
+    # the first random tuple with a nonzero objective, and that objective
+    rng = np.random.default_rng(seed)
     for _ in range(max_retries):
-        vecs = []
-        for m in dims:
-            while True:
-                g = rng.standard_normal(m)
-                n = np.linalg.norm(g)
-                if n > 0.0:
-                    break
-            vecs.append(g / n)
-        u = UnitTuple(vecs)
-        if tensor is None or f_value(tensor, u) != 0.0:
-            return u
+        u = init_random(dims, seed=rng)
+        f = f_value(t, u)
+        if f != 0.0:
+            return u, f
     raise DegenerateInputError(
         f"{max_retries} consecutive random starts had objective exactly zero"
     )
@@ -208,10 +226,10 @@ def _validate_schedule(schedule, d):
     return [(int(i), int(j)) for i, j in schedule]
 
 
-def _single_mode_update(arr, vecs, i, work):
-    v = kernels.contract_all_but_one(arr, vecs, i)
-    work.opt_calls += 1
-    nv = float(np.linalg.norm(v))
+def _normalized(i, v):
+    # the single-mode update from the mode-i contraction v: (|v|, v / |v|);
+    # sqrt(v.v) is what np.linalg.norm computes, without its Python overhead
+    nv = math.sqrt(np.dot(v, v))
     if nv < BREAKDOWN_NORM:
         raise BreakdownError(f"mode-{i} contraction collapsed to zero")
     return nv, v / nv
@@ -227,11 +245,13 @@ def _pair_update(arr, vecs, i, j, work):
 
 
 def _als_sweep(arr, vecs, work):
-    f = None
-    for i in range(arr.ndim):
-        f, vecs[i] = _single_mode_update(arr, vecs, i, work)
+    def update(i, v):
+        f, vecs[i] = _normalized(i, v)
+        work.opt_calls += 1
         work.substeps.append(SubStep(modes=(i,), f_after=f))
-    return f
+
+    kernels.contract_each(arr, vecs, range(arr.ndim), update)
+    return work.substeps[-1].f_after
 
 
 def _asvd_sweep(arr, vecs, work, schedule):
@@ -246,22 +266,25 @@ def _asvd_sweep(arr, vecs, work, schedule):
 
 def _mals_sweep(arr, vecs, work):
     # Candidate for mode i depends on every other current vector; cached
-    # values are reused only when all of those are provably unchanged.
+    # values are reused only when all of those are provably unchanged. The
+    # stale candidates of a round are all taken at one tuple, in one call.
     d = arr.ndim
     versions = [0] * d
     cache = {}
     remaining = list(range(d))
     f = None
+
+    def record(i, v):
+        cache[i] = (*_normalized(i, v), stamps[i])
+
     while remaining:
-        candidates = {}
-        for i in remaining:
-            stamps = tuple(versions[j] for j in range(d) if j != i)
-            entry = cache.get(i)
-            if entry is None or entry[2] != stamps:
-                value, vector = _single_mode_update(arr, vecs, i, work)
-                entry = (value, vector, stamps)
-                cache[i] = entry
-            candidates[i] = entry[0]
+        stamps = {
+            i: tuple(versions[j] for j in range(d) if j != i) for i in remaining
+        }
+        stale = [i for i in remaining if i not in cache or cache[i][2] != stamps[i]]
+        kernels.contract_each(arr, vecs, stale, record)
+        work.opt_calls += len(stale)
+        candidates = {i: cache[i][0] for i in remaining}
         best = max(remaining, key=lambda i: (candidates[i], -i))
         f, vector, _ = cache[best]
         if not np.array_equal(vecs[best], vector):
@@ -356,35 +379,33 @@ def solve(t, cfg=None, initial=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    nrm = t.norm()
-    if nrm == 0.0:
+    arr, scale, nrm2 = split_scale(t.array)
+    if nrm2 == 0.0:
         raise DegenerateInputError("the zero tensor has no rank-one direction")
+    if not math.isfinite(scale * math.sqrt(nrm2)):
+        raise InvalidInputError("the tensor's norm exceeds the float64 range")
     d = t.ndim
     _check_method_dims(cfg.method, d)
+    if initial is not None and initial.dims != t.dims:
+        raise DimensionError(
+            f"initial tuple dims {initial.dims} do not match {t.dims}"
+        )
+    if arr is not t.array:
+        t = Tensor(arr, copy=False)
+    nrm = math.sqrt(nrm2)
 
     if initial is not None:
-        if initial.dims != t.dims:
-            raise DimensionError(
-                f"initial tuple dims {initial.dims} do not match {t.dims}"
-            )
-        u0 = initial
+        u0, f_current = initial, f_value(t, initial)
     elif cfg.init == "hosvd":
         u0 = init_hosvd(t)
+        f_current = f_value(t, u0)
     else:
-        u0 = init_random(t.dims, seed=cfg.seed, tensor=t)
+        u0, f_current = _random_start(t.dims, cfg.seed, t)
 
-    arr = t.array
     vecs = [v.copy() for v in u0.vectors]
-    f_current = f_value(t, u0)
     trace = SolverTrace(f_initial=f_current)
-
     if cfg.method == "asvd":
-        schedule = _validate_schedule(
-            cfg.pair_schedule
-            if cfg.pair_schedule is not None
-            else default_pair_schedule(d),
-            d,
-        )
+        schedule = default_pair_schedule(d)
 
     opt_calls = 0
     fit_prev = f_current / nrm
@@ -426,13 +447,28 @@ def solve(t, cfg=None, initial=None):
         vecs[0] = -vecs[0]
         axes = UnitTuple(vecs)
         lam = -lam
+    residual = residual_from(nrm2, lam)
+    if scale != 1.0:
+        _rescale_trace(trace, scale)
     return Rank1Result(
-        lambda_=lam,
+        lambda_=scale * lam,
         axes=axes,
         fit=lam / nrm,
-        residual=residual_norm(t, axes),
+        residual=scale * residual,
         converged_by=converged_by,
         iterations=len(trace.iterations),
         optimization_calls=opt_calls,
         trace=trace,
     )
+
+
+def _rescale_trace(trace, scale):
+    # objective values of a solve on T / scale, in the units of T
+    trace.f_initial *= scale
+    for record in trace.iterations:
+        record.f_before *= scale
+        record.f_after *= scale
+        for step in record.substeps:
+            step.f_after *= scale
+            if step.candidates is not None:
+                step.candidates = {k: scale * v for k, v in step.candidates.items()}

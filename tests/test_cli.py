@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rank1tensor.cli as cli
-from rank1tensor import BreakdownError, UnitTuple, io
+from rank1tensor import BreakdownError, Tensor, UnitTuple, io
 from rank1tensor.bench import CSV_HEADER
 
 from conftest import planted_rank1
@@ -56,6 +56,24 @@ class TestDecompose:
         assert code == 1
         assert "finite" in captured.err
         assert captured.out == ""
+
+    def test_non_finite_entry_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3\n2 2 2\n1 2 3 4\n5 6 -inf 8\n")
+        code = cli.main(["decompose", "--input", str(bad)])
+        assert code == 1
+        assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_finite_scale(self, plant_files, tmp_path, capsys, scale):
+        t, _, _, _ = plant_files
+        path = tmp_path / "scaled.txt"
+        io.write_tensor_text(Tensor(scale * t.array), path)
+        code = cli.main(["decompose", "--input", str(path), "--seed", "1"])
+        report = parse_report(capsys.readouterr().out)
+        assert code == 0
+        assert float(report["lambda"]) == pytest.approx(7.0 * scale, rel=1e-8, abs=0.0)
+        assert float(report["rel_error"]) <= 1e-8
 
     def test_missing_file(self, capsys):
         assert cli.main(["decompose", "--input", "/nonexistent/t.txt"]) == 1

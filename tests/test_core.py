@@ -39,6 +39,15 @@ class TestTensor:
         assert Tensor.zeros((3, 2)).norm() == 0.0
         assert random_tensor((3, 2), 0).norm() > 0.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_extreme_finite_scale(self, scale):
+        # the plain sum of squares overflows (1e400) or underflows to 0
+        t = random_tensor((3, 4, 2), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Tensor(scale * t.array).norm()
+        assert got == pytest.approx(scale * t.norm(), rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         arr = np.ones((3, 3, 3))

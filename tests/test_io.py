@@ -44,6 +44,12 @@ class TestTensorText:
             io.parse_tensor_text("2\n2 2\n1 2\nbad 4\n")
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "NaN"])
+    def test_non_finite_entry_line_number(self, token):
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            io.parse_tensor_text(f"2\n2 2\n1 2\n3\n{token}\n")
+        assert exc.value.line == 5
+
 
 class TestTupleText:
     def test_round_trip(self, tmp_path):
@@ -63,6 +69,11 @@ class TestTupleText:
         with pytest.raises(ParseError) as exc:
             io.parse_tuple_text("2\n2 2\n0 0\n0 1\n")
         assert exc.value.line == 3
+
+    def test_non_finite_entry_line_number(self):
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            io.parse_tuple_text("2\n2 2\n1 0\n0 inf\n")
+        assert exc.value.line == 4
 
     def test_wrong_vector_length(self):
         with pytest.raises(ParseError) as exc:

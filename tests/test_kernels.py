@@ -78,3 +78,59 @@ def test_nothing_to_contract_returns_copy():
     assert np.array_equal(out, mat)
     out[0, 0] = 99.0
     assert mat[0, 0] != 99.0
+
+
+def _subsets(d):
+    return [
+        modes
+        for k in range(1, d + 1)
+        for modes in itertools.combinations(range(d), k)
+    ]
+
+
+def test_each_matches_direct_summation_on_every_mode_subset():
+    rng = np.random.default_rng(4)
+    for shape in SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for modes in _subsets(arr.ndim):
+            seen = []
+
+            def record(i, v):
+                seen.append(i)
+                _assert_close(v, _direct_sum(arr, vecs, (i,)))
+                assert not np.shares_memory(v, arr)
+
+            kernels.contract_each(arr, vecs, modes, record)
+            assert seen == list(modes)
+
+
+def test_each_uses_vectors_as_they_stand():
+    # a visitor that replaces vectors[i] sees every later contraction formed
+    # from the replaced vectors: an exact cyclic sweep
+    rng = np.random.default_rng(5)
+    for shape in SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for modes in _subsets(arr.ndim):
+            current = [v.copy() for v in vecs]
+
+            def replace(i, v):
+                _assert_close(v, _direct_sum(arr, current, (i,)))
+                current[i] = rng.standard_normal(arr.shape[i])
+
+            kernels.contract_each(arr, current, modes, replace)
+
+
+def test_each_first_full_contraction_is_contract_all_but_one():
+    # the mode-0 contraction of a full sweep reduces the modes in the same
+    # order, so it is equal bit for bit (diagnostics take f from it)
+    rng = np.random.default_rng(6)
+    for shape in SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        got = {}
+        kernels.contract_each(arr, vecs, range(arr.ndim), got.__setitem__)
+        assert np.array_equal(got[0], kernels.contract_all_but_one(arr, vecs, 0))
+
+
+def test_each_with_no_modes_visits_nothing():
+    arr = np.ones((2, 3))
+    kernels.contract_each(arr, [np.ones(2), np.ones(3)], (), None)

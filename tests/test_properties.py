@@ -1,0 +1,37 @@
+"""Property tests of the paper's invariants over extreme scales."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rank1tensor import Tensor  # noqa: E402
+from rank1tensor.solvers import SolverConfig, solve  # noqa: E402
+
+from conftest import random_tensor, tuple_matches  # noqa: E402
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    exponent=st.floats(min_value=-300.0, max_value=300.0),
+    seed=st.integers(min_value=0, max_value=20),
+    method=st.sampled_from(["als", "asvd", "mals", "masvd"]),
+)
+def test_scale_equivariance(exponent, seed, method):
+    # solve(cT) = c * solve(T) for c in [1e-300, 1e300], with lambda <= |T|
+    # and lambda^2 + r^2 = |T|^2 checked in units of |cT| (|cT|^2 can
+    # overflow or underflow)
+    c = 10.0**exponent
+    t = random_tensor((3, 3, 3), seed)
+    cfg = SolverConfig(method=method, seed=seed, max_iterations=20, fitchange_tol=1e-10)
+    base = solve(t, cfg)
+    got = solve(Tensor(c * t.array), cfg)
+    norm = c * t.norm()
+    assert got.lambda_ == pytest.approx(c * base.lambda_, rel=1e-9, abs=0.0)
+    assert tuple_matches(got.axes, base.axes, 1e-6)
+    assert got.lambda_ / norm <= 1.0 + 1e-12
+    assert math.hypot(got.lambda_ / norm, got.residual / norm) == pytest.approx(1.0, abs=1e-10)
+    assert np.isfinite(list(got.trace.f_sequence())).all()

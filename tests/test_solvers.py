@@ -390,12 +390,94 @@ class TestSolve:
         assert fast.iterations == dense.iterations
         assert fast.optimization_calls == dense.optimization_calls
 
-    def test_custom_pair_schedule(self):
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_finite_scale(self, method, scale):
+        # |cT|^2 overflows or underflows; the solve runs on cT / max|cT| and
+        # reports in the units of cT
         t = random_tensor((3, 3, 3), 33)
-        cfg = SolverConfig(method="asvd", seed=34, pair_schedule=[(0, 1), (1, 2)])
-        result = solve(t, cfg)
-        for record in result.trace.iterations:
-            assert [s.modes for s in record.substeps] == [(0, 1), (1, 2)]
+        cfg = SolverConfig(method=method, seed=34)
+        base = solve(t, cfg)
+        got = solve(Tensor(scale * t.array), cfg)
+        assert got.lambda_ == pytest.approx(scale * base.lambda_, rel=1e-12, abs=0.0)
+        assert got.residual == pytest.approx(scale * base.residual, rel=1e-10, abs=0.0)
+        assert got.fit == pytest.approx(base.fit, rel=1e-12)
+        assert tuple_matches(got.axes, base.axes, 1e-10)
+        assert (got.iterations, got.optimization_calls) == (
+            base.iterations,
+            base.optimization_calls,
+        )
+        assert np.allclose(
+            list(got.trace.f_sequence()),
+            [scale * f for f in base.trace.f_sequence()],
+            rtol=1e-12,
+            atol=0.0,
+        )
+        assert got.trace.iterations[-1].f_after == pytest.approx(
+            scale * base.trace.iterations[-1].f_after, rel=1e-12, abs=0.0
+        )
+
+    def test_norm_beyond_float_range_rejected(self):
+        from rank1tensor import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match="float64 range"):
+            solve(Tensor(np.full((3, 3, 3), 1e308)), SolverConfig())
+
+
+def reference_als_sweep(arr, vecs):
+    """One cyclic sweep, one full contraction per mode."""
+    for i in range(arr.ndim):
+        v = contract_vectors(Tensor(arr), UnitTuple(vecs), i)
+        vecs[i] = v / np.linalg.norm(v)
+    return arr.ndim
+
+
+def reference_mals_sweep(arr, vecs):
+    """One greedy sweep that re-evaluates each stale candidate with its own
+    full contraction; returns the number of candidates evaluated."""
+    d = arr.ndim
+    versions = [0] * d
+    cache = {}
+    remaining = list(range(d))
+    calls = 0
+    while remaining:
+        for i in remaining:
+            stamps = tuple(versions[j] for j in range(d) if j != i)
+            if i not in cache or cache[i][2] != stamps:
+                v = contract_vectors(Tensor(arr), UnitTuple(vecs), i)
+                calls += 1
+                cache[i] = (np.linalg.norm(v), v / np.linalg.norm(v), stamps)
+        best = max(remaining, key=lambda i: (cache[i][0], -i))
+        if not np.array_equal(vecs[best], cache[best][1]):
+            versions[best] += 1
+        vecs[best] = cache[best][1]
+        remaining.remove(best)
+    return calls
+
+
+class TestTreeSweepsMatchReferenceLoop:
+    """als and mals form their contractions by a dimension tree; the
+    per-mode loop they replaced is the reference."""
+
+    @pytest.mark.parametrize("method", ["als", "mals"])
+    @pytest.mark.parametrize("dims", [(5, 4, 6), (3, 4, 2, 5), (2, 3, 4, 3, 2)])
+    def test_ten_sweeps(self, method, dims):
+        seed = len(dims)
+        t = random_tensor(dims, 50 + seed)
+        u = random_tuple(dims, 60 + seed)
+        sweep = reference_als_sweep if method == "als" else reference_mals_sweep
+        vecs = [v.copy() for v in u.vectors]
+        calls = sum(sweep(t.array, vecs) for _ in range(10))
+        ref = UnitTuple(vecs)
+        result = solve(
+            t,
+            SolverConfig(method=method, max_iterations=10, fitchange_tol=1e-300),
+            initial=u,
+        )
+        assert result.iterations == 10
+        assert result.optimization_calls == calls
+        assert result.lambda_ == pytest.approx(abs(f_value(t, ref)), rel=1e-12)
+        assert tuple_matches(result.axes, ref, 1e-12)
 
 
 class TestOptimizationCallCounts:
