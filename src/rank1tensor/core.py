@@ -266,8 +266,12 @@ def unfold(t, mode):
 def f_value(t, u):
     """The multilinear functional <T, x_1 (x) ... (x) x_d>."""
     _check_tuple_dims(t, u)
-    v = kernels.contract_all_but_one(t.array, u.vectors, 0)
-    return float(np.dot(u.vectors[0], v))
+    return f_from_arrays(t.array, u.vectors)
+
+
+def f_from_arrays(arr, vectors):
+    """:func:`f_value` of an ndarray and one vector per mode, unchecked."""
+    return float(np.dot(vectors[0], kernels.contract_all_but_one(arr, vectors, 0)))
 
 
 def residual_norm(t, u):

@@ -11,14 +11,19 @@ in one-to-one correspondence with nonzero fixed points of the map
 via u = lambda^(-1/(d-2)) * x; smaller fixed-point norm means larger lambda,
 so the dominant singular value belongs to the nonzero fixed point closest to
 the origin.
+
+``criticality`` and ``check_semi_max`` work on T / max|T| when the sum of
+squares of T overflows or underflows (``core.split_scale``) and report
+multipliers, residuals and margins in the units of T.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, linalg
-from .core import UnitTuple, f_value
+from .core import UnitTuple, f_from_arrays, split_scale
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
 #: default margin for exact-arithmetic identities, relative to |T|
@@ -65,12 +70,13 @@ def criticality(t, u):
     vanish and the multipliers coincide."""
     if t.dims != u.dims:
         raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
+    arr, scale, _ = split_scale(t.array)
     lambdas = []
     residuals = []
-    for i, v in enumerate(_contractions(t, u.vectors)):
+    for i, v in enumerate(_contractions(arr, u.vectors)):
         lam = float(np.dot(u.vectors[i], v))
-        lambdas.append(lam)
-        residuals.append(float(np.linalg.norm(v - lam * u.vectors[i])))
+        lambdas.append(scale * lam)
+        residuals.append(scale * float(np.linalg.norm(v - lam * u.vectors[i])))
     return CriticalityReport(
         lambda_per_mode=lambdas,
         residual_per_mode=residuals,
@@ -96,23 +102,24 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     if level == 2 and t.ndim != 3:
         raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
-    slack = tol * t.norm()
+    arr, scale, nrm2 = split_scale(t.array)
+    slack = tol * (scale * math.sqrt(nrm2))  # tol * t.norm()
     checks = []
     if level == 1:
-        contractions = _contractions(t, u.vectors)
+        contractions = _contractions(arr, u.vectors)
         # the mode-0 contraction is the one f_value takes, in the same order
         f = float(np.dot(u.vectors[0], contractions[0]))
         for i, v in enumerate(contractions):
-            margin = f - float(np.linalg.norm(v))
+            margin = scale * (f - float(np.linalg.norm(v)))
             checks.append(SemiMaxCheck(index=i, margin=margin, passed=margin >= -slack))
         return SemiMaxReport(level="one_semi", tol=tol, checks=checks)
 
-    f = f_value(t, u)
+    f = f_from_arrays(arr, u.vectors)
     for k in range(3):
         i, j = (m for m in range(3) if m != k)
-        mat = kernels.contract_all_but_two(t.array, u.vectors, i, j)
+        mat = kernels.contract_all_but_two(arr, u.vectors, i, j)
         best = linalg.top_singular_triple(mat, mode="dense").sigma
-        margin = f - best
+        margin = scale * (f - best)
         checks.append(SemiMaxCheck(index=k, margin=margin, passed=margin >= -slack))
     return SemiMaxReport(level="two_semi", tol=tol, checks=checks)
 
@@ -156,14 +163,14 @@ def apply_F(t, vectors):
             raise DimensionError(
                 f"component {i} has shape {v.shape}, expected ({t.dims[i]},)"
             )
-    return _contractions(t, vecs)
+    return _contractions(t.array, vecs)
 
 
-def _contractions(t, vectors):
+def _contractions(arr, vectors):
     # every all-but-one contraction at one tuple, in mode order
     out = {}
-    kernels.contract_each(t.array, vectors, range(t.ndim), out.__setitem__)
-    return [out[i] for i in range(t.ndim)]
+    kernels.contract_each(arr, vectors, range(arr.ndim), out.__setitem__)
+    return [out[i] for i in range(arr.ndim)]
 
 
 def fixed_point_residual(t, vectors):

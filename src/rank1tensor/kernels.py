@@ -11,20 +11,38 @@ Call contract: ``arr`` is a C-contiguous float64 ndarray and ``vectors`` a
 sequence of 1-D float64 arrays, one per mode; the entries for kept modes
 are ignored. Every result is a new array, never a view of ``arr``.
 
-Each mode is reduced by one ``np.einsum("ijk,j->ik", ...)`` pass over the
-current result viewed as (before, m, after), so no reduction makes a
-transposed copy of the tensor. Modes outside the kept ones are reduced in
-a fixed order: those after the last kept mode from the highest down (the
-trailing axis), then those before the first kept mode from the lowest up
-(the leading axis), then those between kept modes from the highest down.
+Each mode is reduced by one pass over the current result viewed as
+(before, m, after), so no reduction makes a transposed copy of the tensor.
+Modes outside the kept ones are reduced in a fixed order: those after the
+last kept mode from the highest down (the trailing axis), then those before
+the first kept mode from the lowest up (the leading axis), then those
+between kept modes from the highest down.
 
-einsum runs these products in its own single-threaded loops, not in BLAS.
-A BLAS matrix-vector product is faster on an idle machine, but on a tensor
-of more than a few thousand entries it splits the work across the BLAS
-threads and waits for all of them, so a call slows down whenever another
-process holds one of their cores. On two cores with one kept busy, a 128^3
-call took 1.2 ms at the median and 6.5 ms at the 95th percentile through
-BLAS, against 1.1 and 1.3 ms through einsum.
+The reduction is chosen by the size of the current result. Up to
+``BLAS_MAX_ENTRIES`` entries it is one BLAS matrix-vector product
+(``out.reshape(-1, m) @ v`` for the trailing axis, ``v @ out.reshape(-1, m,
+after)`` otherwise); above it, ``np.einsum("ijk,j->ik", ...)``.
+
+* Below the cap, BLAS is faster and runs on the calling thread. Per call,
+  best of 5 batches, over the three forms: 1.6-2.1 us against einsum's
+  3.0-3.6 at 8^3, 3.0-4.4 against 4.7-8.2 at 16^3, and 8.7-10.2 against
+  15.6-24.6 at 32^3. CPU time over wall time of the three ``@`` forms, with
+  OpenBLAS 0.3.31 and two BLAS threads on two cores (``tools/perf_ab.py``
+  measures it):
+
+  ===========  =================================================
+  entries      CPU / wall
+  ===========  =================================================
+  2^12 - 2^18  0.97 - 1.00 (one thread)
+  2^19         1.7 - 2.0 trailing and leading, 1.4 middle mode
+  ===========  =================================================
+
+* Above the cap, einsum runs the product in its own single-threaded loops.
+  A BLAS call there splits its work across the BLAS threads and waits for
+  all of them, so it slows down whenever another process holds one of their
+  cores: on two cores with one kept busy, a 128^3 call took 1.2 ms at the
+  median and 6.5 ms at the 95th percentile through BLAS, against 1.1 and
+  1.3 ms through einsum.
 
 Tensor passes. One all-but-one contraction reads the whole tensor once, so
 a loop over d modes reads it d times. ``contract_each`` reads it at most
@@ -35,10 +53,19 @@ instead of d(d+1)/2 (4 instead of 6 at d = 3, 5 instead of 10 at d = 4).
 
 import numpy as np
 
+#: Largest result, in entries, whose reduction goes through BLAS. OpenBLAS
+#: ran the ``@`` reductions on one thread up to 2^18 entries and on two at
+#: 2^19 (see the table above), so the cap sits 16x below the second thread.
+BLAS_MAX_ENTRIES = 2**15
+
 
 def _reduce(out, vector, m, after):
     # contract the axis of length m that has ``after`` entries behind it
-    return np.einsum("ijk,j->ik", out.reshape(-1, m, after), vector)
+    if out.size > BLAS_MAX_ENTRIES:
+        return np.einsum("ijk,j->ik", out.reshape(-1, m, after), vector)
+    if after == 1:
+        return out.reshape(-1, m) @ vector
+    return vector @ out.reshape(-1, m, after)
 
 
 def _contract_outside(arr, vectors, keep):

@@ -24,6 +24,7 @@ Neither route depends on a starting vector. The squared conditioning of the
 Gram route is acceptable at the tolerances the solvers run at.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -136,10 +137,11 @@ def top_singular_triple(a, mode="auto"):
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
     if mode not in ("auto", "dense"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if not np.any(a):
-        raise DegenerateInputError("matrix is identically zero")
     wide = a.shape[0] <= a.shape[1]
     gram = a @ a.T if wide else a.T @ a
+    # a positive trace proves a nonzero; only otherwise is a scanned
+    if not gram.trace() > 0.0 and not np.any(a):
+        raise DegenerateInputError("matrix is identically zero")
     found = None
     if mode == "auto" and gram.shape[0] >= SQUARING_MIN_SIDE:
         found = _certified_top_eigvec(gram)
@@ -148,7 +150,7 @@ def top_singular_triple(a, mode="auto"):
         found = np.ascontiguousarray(vecs[:, -1]), 0
     x, squarings = found
     y = a.T @ x if wide else a @ x
-    sigma = float(np.linalg.norm(y))
+    sigma = math.sqrt(np.dot(y, y))  # np.linalg.norm(y), without its wrapper
     if sigma == 0.0:
         raise DegenerateInputError("top Gram eigenvector annihilates the matrix")
     y = y / sigma

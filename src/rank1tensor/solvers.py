@@ -42,7 +42,15 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, linalg
-from .core import Tensor, UnitTuple, f_value, residual_from, split_scale, unfold
+from .core import (
+    Tensor,
+    UnitTuple,
+    f_from_arrays,
+    f_value,
+    residual_from,
+    split_scale,
+    unfold,
+)
 from .errors import (
     BreakdownError,
     DegenerateInputError,
@@ -151,30 +159,35 @@ def init_random(dims, seed=0, tensor=None, max_retries=100):
     place). When ``tensor`` is given, resamples until the objective is
     nonzero (bounded retries)."""
     if tensor is not None:
-        return _random_start(dims, seed, tensor, max_retries)[0]
+        return UnitTuple(_random_start(dims, seed, tensor, max_retries)[0])
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 for m in dims):
         raise DimensionError(f"invalid dims {dims}")
-    rng = np.random.default_rng(seed)
+    return UnitTuple(_draw_unit_vectors(np.random.default_rng(seed), dims))
+
+
+def _draw_unit_vectors(rng, dims):
+    # one standard normal draw per mode, normalized; a zero draw is redrawn
     vecs = []
     for m in dims:
         while True:
             g = rng.standard_normal(m)
-            n = np.linalg.norm(g)
+            n = math.sqrt(np.dot(g, g))
             if n > 0.0:
                 break
         vecs.append(g / n)
-    return UnitTuple(vecs)
+    return vecs
 
 
 def _random_start(dims, seed, t, max_retries=100):
-    # the first random tuple with a nonzero objective, and that objective
+    # the first random unit vectors with a nonzero objective, and that
+    # objective
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
-        u = init_random(dims, seed=rng)
-        f = f_value(t, u)
+        vecs = _draw_unit_vectors(rng, dims)
+        f = f_from_arrays(t.array, vecs)
         if f != 0.0:
-            return u, f
+            return vecs, f
     raise DegenerateInputError(
         f"{max_retries} consecutive random starts had objective exactly zero"
     )
@@ -287,7 +300,7 @@ def _mals_sweep(arr, vecs, work):
         candidates = {i: cache[i][0] for i in remaining}
         best = max(remaining, key=lambda i: (candidates[i], -i))
         f, vector, _ = cache[best]
-        if not np.array_equal(vecs[best], vector):
+        if (vecs[best] != vector).any():
             versions[best] += 1
         vecs[best] = vector
         work.substeps.append(
@@ -317,9 +330,9 @@ def _masvd_sweep(arr, vecs, work):
         best = max(remaining, key=lambda k: (candidates[k], -k))
         f, u_new, v_new, _ = cache[best]
         i, j = (m for m in range(3) if m != best)
-        if not np.array_equal(vecs[i], u_new):
+        if (vecs[i] != u_new).any():
             versions[i] += 1
-        if not np.array_equal(vecs[j], v_new):
+        if (vecs[j] != v_new).any():
             versions[j] += 1
         vecs[i], vecs[j] = u_new, v_new
         work.substeps.append(
@@ -394,15 +407,12 @@ def solve(t, cfg=None, initial=None):
         t = Tensor(arr, copy=False)
     nrm = math.sqrt(nrm2)
 
-    if initial is not None:
-        u0, f_current = initial, f_value(t, initial)
-    elif cfg.init == "hosvd":
-        u0 = init_hosvd(t)
-        f_current = f_value(t, u0)
+    if cfg.init == "random" and initial is None:
+        vecs, f_current = _random_start(t.dims, cfg.seed, t)
     else:
-        u0, f_current = _random_start(t.dims, cfg.seed, t)
-
-    vecs = [v.copy() for v in u0.vectors]
+        u0 = initial if initial is not None else init_hosvd(t)
+        vecs = [v.copy() for v in u0.vectors]
+        f_current = f_value(t, u0)
     trace = SolverTrace(f_initial=f_current)
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
@@ -441,12 +451,11 @@ def solve(t, cfg=None, initial=None):
             break
         fit_prev = fit
 
-    axes = UnitTuple(vecs)
-    lam = f_value(t, axes)
+    lam = f_from_arrays(arr, vecs)
     if lam < 0.0:  # flip one axis; the objective is odd in each vector
         vecs[0] = -vecs[0]
-        axes = UnitTuple(vecs)
         lam = -lam
+    axes = UnitTuple(vecs)
     residual = residual_from(nrm2, lam)
     if scale != 1.0:
         _rescale_trace(trace, scale)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import rank1tensor.cli as cli
-from rank1tensor import BreakdownError, Tensor, UnitTuple, io
+from rank1tensor import BreakdownError, SolverConfig, Tensor, UnitTuple, io, solve
 from rank1tensor.bench import CSV_HEADER
 
-from conftest import planted_rank1
+from conftest import planted_rank1, random_tensor
 
 
 @pytest.fixture
@@ -169,6 +169,31 @@ class TestVerify:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("level", ["1", "2"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_finite_scale(self, tmp_path, capsys, scale, level):
+        # a Gaussian tensor's masvd axes pass at any scale; the residual is
+        # reported in the units of the tensor
+        t = random_tensor((3, 3, 3), 4)
+        axes = solve(
+            t, SolverConfig(method="masvd", fitchange_tol=1e-12, max_iterations=2000)
+        ).axes
+        tuple_path = tmp_path / "axes.txt"
+        io.write_tuple_text(axes, tuple_path)
+        reports = {}
+        for factor in (1.0, scale):
+            tensor_path = tmp_path / f"t{factor}.txt"
+            io.write_tensor_text(Tensor(factor * t.array), tensor_path)
+            args = ["--input", str(tensor_path), "--tuple", str(tuple_path)]
+            code = cli.main(["verify", *args, "--level", level])
+            reports[factor] = parse_report(capsys.readouterr().out)
+            assert code == 0
+            assert reports[factor]["criticality"] == "pass"
+            assert reports[factor]["semi_max"] == "pass"
+        unit = float(reports[1.0]["max_residual"])
+        got = float(reports[scale]["max_residual"])
+        assert got == pytest.approx(scale * unit, rel=1e-6, abs=1e-12 * scale * t.norm())
 
     def test_off_sphere_tuple_warns_and_normalizes(self, plant_files, tmp_path, capsys):
         t, axes, tensor_path, _ = plant_files

@@ -3,6 +3,8 @@ import pytest
 
 from rank1tensor import (
     InvalidInputError,
+    kernels,
+    linalg,
     Tensor,
     UnitTuple,
     UnsupportedError,
@@ -114,6 +116,69 @@ class TestSemiMax:
         t = random_tensor((2, 2, 2, 2), 5)
         with pytest.raises(UnsupportedError):
             check_semi_max(t, random_tuple(t.dims, 6), level=2)
+
+
+class TestScaleRobustness:
+    def test_normal_scale_arithmetic_unchanged(self):
+        # at a normal scale the checks take T as given and compute exactly
+        # what they computed before working on T / max|T| at extreme scales
+        for dims in [(3, 4, 5), (3, 2, 4, 2)]:
+            t = random_tensor(dims, 11)
+            u = random_tuple(dims, 12)
+            vs = {}
+            kernels.contract_each(t.array, u.vectors, range(t.ndim), vs.__setitem__)
+            lams = [float(np.dot(u[i], vs[i])) for i in range(t.ndim)]
+            res = [float(np.linalg.norm(vs[i] - lams[i] * u[i])) for i in range(t.ndim)]
+            report = criticality(t, u)
+            assert report.lambda_per_mode == lams
+            assert report.residual_per_mode == res
+            assert report.lambda_spread == max(lams) - min(lams)
+
+            slack = 1e-1 * t.norm()
+            margins = [lams[0] - float(np.linalg.norm(vs[i])) for i in range(t.ndim)]
+            checks = check_semi_max(t, u, level=1, tol=1e-1).checks
+            assert [c.margin for c in checks] == margins
+            assert [c.passed for c in checks] == [m >= -slack for m in margins]
+            if t.ndim == 3:
+                f = f_value(t, u)
+                margins = [
+                    f - linalg.top_singular_triple(
+                        kernels.contract_all_but_two(t.array, u.vectors, i, j),
+                        mode="dense",
+                    ).sigma
+                    for i, j in [(1, 2), (0, 2), (0, 1)]
+                ]
+                checks = check_semi_max(t, u, level=2, tol=1e-1).checks
+                assert [c.margin for c in checks] == margins
+                assert [c.passed for c in checks] == [m >= -slack for m in margins]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_finite_scale(self, fixture_3cube, scale):
+        # a masvd tuple passes both levels at any scale, and every figure is
+        # the unit-scale one in the units of T
+        u = solve(
+            fixture_3cube,
+            SolverConfig(method="masvd", fitchange_tol=1e-12, max_iterations=2000),
+        ).axes
+        t = Tensor(scale * fixture_3cube.array)
+        crit, crit1 = criticality(t, u), criticality(fixture_3cube, u)
+        np.testing.assert_allclose(
+            crit.lambda_per_mode, scale * np.array(crit1.lambda_per_mode), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            crit.residual_per_mode,
+            scale * np.array(crit1.residual_per_mode),
+            rtol=0,
+            atol=1e-12 * t.norm(),
+        )
+        assert crit.max_residual <= 1e-6 * t.norm()
+        for level in (1, 2):
+            report = check_semi_max(t, u, level=level)
+            unit = check_semi_max(fixture_3cube, u, level=level)
+            assert report.passed
+            for c, c1 in zip(report.checks, unit.checks):
+                assert np.isfinite(c.margin)
+                assert abs(c.margin - scale * c1.margin) <= 1e-12 * t.norm()
 
 
 class TestFixedPointScaling:

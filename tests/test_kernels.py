@@ -134,3 +134,86 @@ def test_each_first_full_contraction_is_contract_all_but_one():
 def test_each_with_no_modes_visits_nothing():
     arr = np.ones((2, 3))
     kernels.contract_each(arr, [np.ones(2), np.ones(3)], (), None)
+
+
+# Shapes around kernels.BLAS_MAX_ENTRIES (2^15): exactly at it (every
+# reduction through BLAS), just above it (the first reduction through einsum,
+# the rest through BLAS), and a first reduction well above it with the later
+# ones below. SHAPES above are all far below it.
+CAP_SHAPES = [(32, 32, 32), (2, 16385), (33, 32, 32), (16, 16, 16, 16)]
+
+
+def _broadcast_sum(arr, vecs, kept):
+    # the sum of _direct_sum, vectorized for these sizes: arr times every
+    # other mode's vector, broadcast, summed over those modes; also returns
+    # the same sum of absolute values, which bounds the rounding error
+    prod, mag = arr, np.abs(arr)
+    for m in range(arr.ndim):
+        if m not in kept:
+            w = vecs[m].reshape([-1 if k == m else 1 for k in range(arr.ndim)])
+            prod, mag = prod * w, mag * np.abs(w)
+    axes = tuple(m for m in range(arr.ndim) if m not in kept)
+    return prod.sum(axis=axes), mag.sum(axis=axes)
+
+
+def _assert_matches_sum(got, arr, vecs, kept):
+    expected, mag = _broadcast_sum(arr, vecs, kept)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-13 * mag.max())
+
+
+def test_broadcast_sum_is_direct_summation():
+    rng = np.random.default_rng(7)
+    for shape in SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for kept in _subsets(arr.ndim):
+            expected, _ = _broadcast_sum(arr, vecs, kept)
+            _assert_close(expected, _direct_sum(arr, vecs, kept))
+
+
+def test_cap_shapes_all_but_one_and_two_match_direct_summation():
+    rng = np.random.default_rng(8)
+    for shape in CAP_SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for keep in range(arr.ndim):
+            got = kernels.contract_all_but_one(arr, vecs, keep)
+            _assert_matches_sum(got, arr, vecs, (keep,))
+        for i, j in itertools.combinations(range(arr.ndim), 2):
+            got = kernels.contract_all_but_two(arr, vecs, i, j)
+            _assert_matches_sum(got, arr, vecs, (i, j))
+
+
+def test_cap_shapes_each_matches_direct_summation_on_every_mode_subset():
+    rng = np.random.default_rng(9)
+    for shape in CAP_SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for modes in _subsets(arr.ndim):
+            seen = []
+
+            def record(i, v):
+                seen.append(i)
+                _assert_matches_sum(v, arr, vecs, (i,))
+                assert not np.shares_memory(v, arr)
+
+            kernels.contract_each(arr, vecs, modes, record)
+            assert seen == list(modes)
+
+
+def test_reduction_route_follows_result_size(monkeypatch):
+    # einsum reduces exactly the results above the cap: none of a 32^3
+    # tensor's, and only the first of a 33x32x32 tensor's
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].size)
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(kernels.np, "einsum", spy)
+    rng = np.random.default_rng(10)
+    arr, vecs = _random_case(rng, (32, 32, 32))
+    kernels.contract_all_but_one(arr, vecs, 0)
+    assert calls == []
+    arr, vecs = _random_case(rng, (33, 32, 32))
+    kernels.contract_all_but_one(arr, vecs, 0)
+    assert calls == [33 * 32 * 32]

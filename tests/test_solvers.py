@@ -16,6 +16,7 @@ from rank1tensor.diagnostics import check_semi_max
 from rank1tensor.linalg import top_singular_triple
 from rank1tensor.solvers import (
     SolverConfig,
+    _random_start,
     als_sweep,
     asvd_sweep,
     default_pair_schedule,
@@ -60,6 +61,38 @@ class TestInitRandom:
     def test_zero_objective_exhausts_retries(self):
         with pytest.raises(DegenerateInputError):
             init_random((2, 2, 2), seed=0, tensor=Tensor.zeros((2, 2, 2)))
+
+
+def reference_start(dims, seed):
+    # the start stream: one standard normal draw per mode from one
+    # generator, normalized, a zero draw redrawn
+    rng = np.random.default_rng(seed)
+    vecs = []
+    for m in dims:
+        g = rng.standard_normal(m)
+        while np.linalg.norm(g) == 0.0:
+            g = rng.standard_normal(m)
+        vecs.append(g / np.linalg.norm(g))
+    return vecs
+
+
+class TestStartStream:
+    @pytest.mark.parametrize("dims", [(4, 3, 5), (3, 2, 4, 2)])
+    @pytest.mark.parametrize("seed", [0, 811, [5, 2], [0, 1, 2]])
+    def test_starts_equal_reference_bit_for_bit(self, dims, seed):
+        expected = reference_start(dims, seed)
+        t = random_tensor(dims, 1)
+        vecs, f = _random_start(dims, seed, t)
+        starts = [
+            vecs,
+            init_random(dims, seed=seed).vectors,
+            init_random(dims, seed=seed, tensor=t).vectors,
+        ]
+        for start in starts:
+            assert len(start) == len(dims)
+            assert all(np.array_equal(x, y) for x, y in zip(start, expected))
+        assert f == f_value(t, UnitTuple(expected))
+        assert solve(t, SolverConfig(seed=seed)).trace.f_initial == f
 
 
 class TestInitHosvd:
