@@ -220,7 +220,8 @@ def blas_probe():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--blas-probe"],
+        [sys.executable, "-c", "import perf_ab; perf_ab._probe_reductions()"],
+        cwd=os.path.dirname(os.path.abspath(__file__)),
         env=env, check=True, capture_output=True, text=True,
     ).stdout
     return {
@@ -243,11 +244,7 @@ def main(argv=None):
                    metavar="W:SEEDS", help="a workload and its seeds, repeatable")
     p.add_argument("--trace", type=parse_spec, action="append", default=[],
                    metavar="W:SEED", help="one traced run per side, repeatable")
-    p.add_argument("--blas-probe", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.blas_probe:
-        _probe_reductions()
-        return 0
 
     bench, better = metric_directions()
     seconds = bench["run_seconds"]
