@@ -132,6 +132,13 @@ class TestTopSingularTripleDense:
         with pytest.raises(DegenerateInputError):
             top_singular_triple(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (20, 30)])
+    def test_zero_matrix_named_before_any_eigensolver(self, shape):
+        # on either route, with no division by the zero trace
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateInputError, match="identically zero"):
+                top_singular_triple(np.zeros(shape))
+
     def test_matches_angle_grid_search_2x2(self):
         a = np.random.default_rng(7).standard_normal((2, 2))
         trip = top_singular_triple(a, mode="dense")

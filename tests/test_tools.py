@@ -87,6 +87,11 @@ def test_gain_claimable_needs_nine_tenths_and_a_gain_beyond_parent_iqr():
     change = runs_from("change", [(120 + i, 1.0) for i in range(10)])
     assert perf_ab.summarize(parent + change, BETTER)["throughput_per_s"]["gain_claimable"]
 
+    # every pair won, but fewer than ten pairs
+    assert not perf_ab.summarize(parent[:9] + change[:9], BETTER)["throughput_per_s"][
+        "gain_claimable"
+    ]
+
     # every pair won, but the median gain (2) is inside the parent's IQR (4.5)
     change = runs_from("change", [(102 + i, 1.0) for i in range(10)])
     tp = perf_ab.summarize(parent + change, BETTER)["throughput_per_s"]

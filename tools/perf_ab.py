@@ -20,10 +20,10 @@ one ``--trace 1`` run per side.
 The output file holds every run (exit code, attempted, failed and metrics),
 the machine metadata perfbench prints, and per workload and metric each
 side's median and quartiles, the parent's interquartile range, the pairs the
-change won (ties count for neither) and whether the change won at least 9 of
-10 pairs with a median gain beyond the parent's interquartile range. It is
-rewritten after every run, so an interrupted command keeps what it measured.
-It also records the ratio of CPU time to wall time of BLAS matrix-vector
+change won (ties count for neither) and whether a gain may be claimed: at
+least ten pairs, nine tenths of them won, and a median gain beyond the
+parent's interquartile range. It is rewritten after every run, so an
+interrupted command keeps what it measured. It also records the ratio of CPU time to wall time of BLAS matrix-vector
 reductions at several sizes, under the BLAS thread count perfbench pins: a
 ratio near 1 means BLAS ran on one thread.
 """
@@ -128,7 +128,9 @@ def summarize(runs, better):
             "change_iqr": c3 - c1,
             "change_better_pairs": won,
             "pairs": len(seeds),
-            "gain_claimable": 10 * won >= 9 * len(seeds) and gain > p3 - p1,
+            "gain_claimable": len(seeds) >= 10
+            and 10 * won >= 9 * len(seeds)
+            and gain > p3 - p1,
         }
     return summary
 
