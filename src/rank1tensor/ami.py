@@ -84,11 +84,7 @@ class BlockQuadraticForm:
     def diagonal_blocks_positive_definite(self, zero_tol=ZERO_EIG_TOL):
         """True when every H_jj is positive definite, i.e. the origin is a
         semi-maximal point of -xi^T H xi."""
-        for j in range(self.nblocks):
-            counts = linalg.inertia(self.block(j, j), zero_tol=zero_tol)
-            if counts.positive != self.block_sizes[j]:
-                return False
-        return True
+        return _blocks_definite(_block_spectra(self), zero_tol)
 
     def f(self, xi):
         xi = np.asarray(xi, dtype=np.float64)
@@ -121,19 +117,29 @@ class BasinTrajectory:
     sweeps_run: int
 
 
-def _check_diagonal_blocks(q):
+def _block_spectra(q):
+    # (ascending eigenvalues, max |entry|) of each diagonal block
+    spectra = []
     for j in range(q.nblocks):
         block = q.block(j, j)
-        eigenvalues, _ = linalg.symmetric_eig(block)
-        threshold = SINGULAR_BLOCK_TOL * max(1.0, float(np.max(np.abs(block))))
-        if np.min(np.abs(eigenvalues)) <= threshold:
+        spectra.append((np.linalg.eigvalsh(block), float(np.max(np.abs(block)))))
+    return spectra
+
+
+def _check_diagonal_blocks(spectra):
+    for j, (eigenvalues, scale) in enumerate(spectra):
+        if np.min(np.abs(eigenvalues)) <= SINGULAR_BLOCK_TOL * max(1.0, scale):
             raise SingularBlockError(j)
 
 
-def gauss_seidel_matrix(q):
-    """The iteration matrix K = -L_H^{-1} U_H; requires invertible diagonal
-    blocks. One multiplication by K equals one :func:`ami_sweep`."""
-    _check_diagonal_blocks(q)
+def _blocks_definite(spectra, zero_tol):
+    # every eigenvalue above linalg.inertia's zero threshold
+    return all(
+        eigenvalues[0] > zero_tol * max(1.0, scale) for eigenvalues, scale in spectra
+    )
+
+
+def _iteration_matrix(q):
     block_id = np.repeat(np.arange(q.nblocks), q.block_sizes)
     lower_mask = block_id[:, None] >= block_id[None, :]
     l_h = np.where(lower_mask, q.h, 0.0)
@@ -141,13 +147,22 @@ def gauss_seidel_matrix(q):
     return np.linalg.solve(l_h, -u_h)
 
 
-def ami_sweep(q, xi):
-    """One alternating-maximization pass: solve block j against the already
-    updated blocks below and the previous iterate above, for j = 1..d."""
+def gauss_seidel_matrix(q):
+    """The iteration matrix K = -L_H^{-1} U_H; requires invertible diagonal
+    blocks. One multiplication by K equals one :func:`ami_sweep`."""
+    _check_diagonal_blocks(_block_spectra(q))
+    return _iteration_matrix(q)
+
+
+def _checked_vector(q, xi):
     xi = np.asarray(xi, dtype=np.float64)
     if xi.shape != (q.order,):
         raise DimensionError(f"xi has shape {xi.shape}, expected ({q.order},)")
-    _check_diagonal_blocks(q)
+    return xi
+
+
+def _sweep(q, xi):
+    # ami_sweep without its checks
     new = xi.copy()
     for j in range(q.nblocks):
         rows = q.block_slice(j)
@@ -161,6 +176,14 @@ def ami_sweep(q, xi):
     return new
 
 
+def ami_sweep(q, xi):
+    """One alternating-maximization pass: solve block j against the already
+    updated blocks below and the previous iterate above, for j = 1..d."""
+    xi = _checked_vector(q, xi)
+    _check_diagonal_blocks(_block_spectra(q))
+    return _sweep(q, xi)
+
+
 def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
     """Spectrum of K, inertia of H, and the eigenvalue-count comparison.
 
@@ -168,7 +191,9 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
     reported but ``theorem_holds`` is None (hypothesis not met). A singular
     diagonal block raises instead, since K does not exist.
     """
-    k = gauss_seidel_matrix(q)
+    spectra = _block_spectra(q)
+    _check_diagonal_blocks(spectra)
+    k = _iteration_matrix(q)
     eigenvalues, eigenvectors = np.linalg.eig(k)
 
     k_norm = float(np.linalg.norm(k, 2))
@@ -187,7 +212,7 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
     beta = len(eigenvalues) - alpha - gamma
 
     counts = linalg.inertia(q.h, zero_tol=zero_tol)
-    definite_diag = q.diagonal_blocks_positive_definite(zero_tol=zero_tol)
+    definite_diag = _blocks_definite(spectra, zero_tol)
     theorem_holds = (
         (alpha, beta, gamma) == tuple(counts) if definite_diag else None
     )
@@ -214,19 +239,24 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
 def basin_experiment(q, xi0, sweeps, zero_threshold=1e-10):
     """Iterate the sweep from ``xi0`` and record norms and objective values.
 
+    ``xi0`` is checked once, and the diagonal blocks once when ``sweeps`` is
+    positive; the sweeps themselves run unchecked.
+
     The objective sequence never decreases along the iteration; the iterates
     contract to the origin exactly when ``xi0`` lies in the invariant
     subspace of the eigenvalues of modulus below one.
     """
     if sweeps < 0:
         raise InvalidInputError("sweeps must be >= 0")
-    xi = np.asarray(xi0, dtype=np.float64)
+    xi = _checked_vector(q, xi0)
+    if sweeps:
+        _check_diagonal_blocks(_block_spectra(q))
     norms = [float(np.linalg.norm(xi))]
     f_values = [q.f(xi)]
     converged = norms[0] <= zero_threshold
     run = 0
     for run in range(1, sweeps + 1):
-        xi = ami_sweep(q, xi)
+        xi = _sweep(q, xi)
         norms.append(float(np.linalg.norm(xi)))
         f_values.append(q.f(xi))
         if norms[-1] <= zero_threshold:

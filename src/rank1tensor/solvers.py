@@ -36,7 +36,8 @@ T / max|T| and its results are scaled back.
 
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -100,6 +101,8 @@ class SubStep:
 
 @dataclass
 class IterationRecord:
+    """One sweep, as :attr:`SolverTrace.iterations` builds it."""
+
     index: int
     f_before: float
     f_after: float
@@ -108,21 +111,100 @@ class IterationRecord:
     wall_seconds: float
 
 
-@dataclass
+#: (modes, chosen, candidate keys) of a sub-step: one immutable tuple per
+#: distinct value, shared by every trace; bounded, since the key sets of
+#: mals can number 2^d
+_SHARED_STEPS = {}
+_SHARED_STEPS_MAX = 4096
+
+
 class SolverTrace:
-    f_initial: float = 0.0
-    iterations: list = field(default_factory=list)
+    """The objective values of a solve, stored by column.
+
+    Per sub-step: ``f_after`` and ``steps``, a shared ``(modes, chosen,
+    keys)`` tuple, where ``keys`` are the modes whose candidate values a
+    greedy method compared; those values follow one another in
+    ``candidates``, in key order. Per sweep: the cumulative ``opt_calls``,
+    ``wall_seconds``, and ``sweep_ends``, the number of sub-steps recorded
+    by the end of the sweep. :attr:`iterations` builds the per-sweep
+    records from these columns each time it is read.
+    """
+
+    __slots__ = (
+        "f_initial",
+        "f_after",
+        "steps",
+        "candidates",
+        "opt_calls",
+        "wall_seconds",
+        "sweep_ends",
+        "_calls",
+    )
+
+    def __init__(self, f_initial=0.0):
+        self.f_initial = f_initial
+        self.f_after = array("d")
+        self.steps = []
+        self.candidates = array("d")
+        self.opt_calls = array("q")
+        self.wall_seconds = array("d")
+        self.sweep_ends = array("q")
+        self._calls = 0  # running optimization-call count
+
+    def __repr__(self):
+        return f"SolverTrace(f_initial={self.f_initial!r}, sweeps={len(self.sweep_ends)})"
+
+    def _record(self, f, modes, chosen=None, candidates=None):
+        step = (modes, chosen, () if candidates is None else tuple(candidates))
+        shared = _SHARED_STEPS.get(step)
+        if shared is None:
+            shared = step
+            if len(_SHARED_STEPS) < _SHARED_STEPS_MAX:
+                _SHARED_STEPS[step] = step
+        self.steps.append(shared)
+        self.f_after.append(f)
+        if candidates is not None:
+            self.candidates.extend(candidates.values())
+
+    def _end_sweep(self, wall_seconds):
+        self.opt_calls.append(self._calls)
+        self.wall_seconds.append(wall_seconds)
+        self.sweep_ends.append(len(self.f_after))
 
     def f_sequence(self):
         """All objective values in order: initial, then one per sub-step."""
         yield self.f_initial
-        for record in self.iterations:
-            for step in record.substeps:
-                yield step.f_after
+        yield from self.f_after
+
+    @property
+    def iterations(self):
+        """One :class:`IterationRecord` per sweep, built from the columns."""
+        records = []
+        f_before = self.f_initial
+        start = offset = 0
+        for k, end in enumerate(self.sweep_ends):
+            substeps = []
+            for s in range(start, end):
+                modes, chosen, keys = self.steps[s]
+                candidates = None
+                if keys:
+                    values = self.candidates[offset : offset + len(keys)]
+                    candidates = dict(zip(keys, values))
+                    offset += len(keys)
+                substeps.append(SubStep(modes, self.f_after[s], chosen, candidates))
+            f_after = self.f_after[end - 1]
+            records.append(
+                IterationRecord(
+                    k + 1, f_before, f_after, substeps, self.opt_calls[k], self.wall_seconds[k]
+                )
+            )
+            f_before = f_after
+            start = end
+        return records
 
     @property
     def total_opt_calls(self):
-        return self.iterations[-1].opt_calls if self.iterations else 0
+        return self.opt_calls[-1] if self.opt_calls else 0
 
 
 @dataclass
@@ -143,14 +225,6 @@ class Rank1Result:
         from .core import Rank1Tensor
 
         return Rank1Tensor(self.lambda_, self.axes)
-
-
-class _Work:
-    __slots__ = ("opt_calls", "substeps")
-
-    def __init__(self):
-        self.opt_calls = 0
-        self.substeps = []
 
 
 def init_random(dims, seed=0, tensor=None, max_retries=100):
@@ -248,36 +322,36 @@ def _normalized(i, v):
     return nv, v / nv
 
 
-def _pair_update(arr, vecs, i, j, work):
+def _pair_update(arr, vecs, i, j, trace):
     mat = kernels.contract_all_but_two(arr, vecs, i, j)
-    work.opt_calls += 1
+    trace._calls += 1
     try:
         return linalg.top_singular_triple(mat)
     except DegenerateInputError as exc:
         raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero") from exc
 
 
-def _als_sweep(arr, vecs, work):
+def _als_sweep(arr, vecs, trace):
     def update(i, v):
         f, vecs[i] = _normalized(i, v)
-        work.opt_calls += 1
-        work.substeps.append(SubStep(modes=(i,), f_after=f))
+        trace._calls += 1
+        trace._record(f, (i,))
 
     kernels.contract_each(arr, vecs, range(arr.ndim), update)
-    return work.substeps[-1].f_after
+    return trace.f_after[-1]
 
 
-def _asvd_sweep(arr, vecs, work, schedule):
+def _asvd_sweep(arr, vecs, trace, schedule):
     f = None
     for i, j in schedule:
-        triple = _pair_update(arr, vecs, i, j, work)
+        triple = _pair_update(arr, vecs, i, j, trace)
         vecs[i], vecs[j] = triple.u, triple.v
         f = triple.sigma
-        work.substeps.append(SubStep(modes=(i, j), f_after=f))
+        trace._record(f, (i, j))
     return f
 
 
-def _mals_sweep(arr, vecs, work):
+def _mals_sweep(arr, vecs, trace):
     # Candidate for mode i depends on every other current vector; cached
     # values are reused only when all of those are provably unchanged. The
     # stale candidates of a round are all taken at one tuple, in one call.
@@ -296,21 +370,19 @@ def _mals_sweep(arr, vecs, work):
         }
         stale = [i for i in remaining if i not in cache or cache[i][2] != stamps[i]]
         kernels.contract_each(arr, vecs, stale, record)
-        work.opt_calls += len(stale)
+        trace._calls += len(stale)
         candidates = {i: cache[i][0] for i in remaining}
         best = max(remaining, key=lambda i: (candidates[i], -i))
         f, vector, _ = cache[best]
         if (vecs[best] != vector).any():
             versions[best] += 1
         vecs[best] = vector
-        work.substeps.append(
-            SubStep(modes=(best,), f_after=f, chosen=best, candidates=candidates)
-        )
+        trace._record(f, (best,), best, candidates)
         remaining.remove(best)
     return f
 
 
-def _masvd_sweep(arr, vecs, work):
+def _masvd_sweep(arr, vecs, trace):
     # Candidate k freezes x_k and replaces the other two vectors by the top
     # singular pair of the contracted matrix; it depends on x_k only.
     versions = [0, 0, 0]
@@ -323,7 +395,7 @@ def _masvd_sweep(arr, vecs, work):
             entry = cache.get(k)
             if entry is None or entry[3] != versions[k]:
                 i, j = (m for m in range(3) if m != k)
-                triple = _pair_update(arr, vecs, i, j, work)
+                triple = _pair_update(arr, vecs, i, j, trace)
                 entry = (triple.sigma, triple.u, triple.v, versions[k])
                 cache[k] = entry
             candidates[k] = entry[0]
@@ -335,9 +407,7 @@ def _masvd_sweep(arr, vecs, work):
         if (vecs[j] != v_new).any():
             versions[j] += 1
         vecs[i], vecs[j] = u_new, v_new
-        work.substeps.append(
-            SubStep(modes=(i, j), f_after=f, chosen=best, candidates=candidates)
-        )
+        trace._record(f, (i, j), best, candidates)
         remaining.remove(best)
     return f
 
@@ -352,7 +422,7 @@ def _check_method_dims(method, d):
 def als_sweep(t, u):
     """One full cyclic sweep of single-mode updates; returns the new tuple."""
     vecs = [v.copy() for v in u.vectors]
-    _als_sweep(t.array, vecs, _Work())
+    _als_sweep(t.array, vecs, SolverTrace())
     return UnitTuple(vecs)
 
 
@@ -363,14 +433,14 @@ def asvd_sweep(t, u, schedule=None):
         schedule if schedule is not None else default_pair_schedule(t.ndim), t.ndim
     )
     vecs = [v.copy() for v in u.vectors]
-    _asvd_sweep(t.array, vecs, _Work(), schedule)
+    _asvd_sweep(t.array, vecs, SolverTrace(), schedule)
     return UnitTuple(vecs)
 
 
 def mals_sweep(t, u):
     """One greedy best-candidate-first sweep of single-mode updates."""
     vecs = [v.copy() for v in u.vectors]
-    _mals_sweep(t.array, vecs, _Work())
+    _mals_sweep(t.array, vecs, SolverTrace())
     return UnitTuple(vecs)
 
 
@@ -378,7 +448,7 @@ def masvd_sweep(t, u):
     """One greedy best-candidate-first sweep of pair updates (3-mode only)."""
     _check_method_dims("masvd", t.ndim)
     vecs = [v.copy() for v in u.vectors]
-    _masvd_sweep(t.array, vecs, _Work())
+    _masvd_sweep(t.array, vecs, SolverTrace())
     return UnitTuple(vecs)
 
 
@@ -413,38 +483,23 @@ def solve(t, cfg=None, initial=None):
         u0 = initial if initial is not None else init_hosvd(t)
         vecs = [v.copy() for v in u0.vectors]
         f_current = f_value(t, u0)
-    trace = SolverTrace(f_initial=f_current)
+    trace = SolverTrace(f_current)
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
 
-    opt_calls = 0
     fit_prev = f_current / nrm
     converged_by = "max_iterations"
-    for k in range(1, cfg.max_iterations + 1):
-        work = _Work()
+    for _ in range(cfg.max_iterations):
         started = time.perf_counter()
         if cfg.method == "als":
-            f_after = _als_sweep(arr, vecs, work)
+            f_after = _als_sweep(arr, vecs, trace)
         elif cfg.method == "asvd":
-            f_after = _asvd_sweep(arr, vecs, work, schedule)
+            f_after = _asvd_sweep(arr, vecs, trace, schedule)
         elif cfg.method == "mals":
-            f_after = _mals_sweep(arr, vecs, work)
+            f_after = _mals_sweep(arr, vecs, trace)
         else:
-            f_after = _masvd_sweep(arr, vecs, work)
-        elapsed = time.perf_counter() - started
-
-        opt_calls += work.opt_calls
-        trace.iterations.append(
-            IterationRecord(
-                index=k,
-                f_before=f_current,
-                f_after=f_after,
-                substeps=work.substeps,
-                opt_calls=opt_calls,
-                wall_seconds=elapsed,
-            )
-        )
-        f_current = f_after
+            f_after = _masvd_sweep(arr, vecs, trace)
+        trace._end_sweep(time.perf_counter() - started)
         fit = f_after / nrm
         if abs(fit - fit_prev) < cfg.fitchange_tol:
             converged_by = "fitchange"
@@ -465,8 +520,8 @@ def solve(t, cfg=None, initial=None):
         fit=lam / nrm,
         residual=scale * residual,
         converged_by=converged_by,
-        iterations=len(trace.iterations),
-        optimization_calls=opt_calls,
+        iterations=len(trace.sweep_ends),
+        optimization_calls=trace.total_opt_calls,
         trace=trace,
     )
 
@@ -474,10 +529,5 @@ def solve(t, cfg=None, initial=None):
 def _rescale_trace(trace, scale):
     # objective values of a solve on T / scale, in the units of T
     trace.f_initial *= scale
-    for record in trace.iterations:
-        record.f_before *= scale
-        record.f_after *= scale
-        for step in record.substeps:
-            step.f_after *= scale
-            if step.candidates is not None:
-                step.candidates = {k: scale * v for k, v in step.candidates.items()}
+    trace.f_after = array("d", [scale * f for f in trace.f_after])
+    trace.candidates = array("d", [scale * v for v in trace.candidates])

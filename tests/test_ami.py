@@ -10,6 +10,7 @@ from rank1tensor.ami import (
     gauss_seidel_matrix,
     hessian_form_at,
 )
+from rank1tensor.linalg import inertia
 from rank1tensor.solvers import SolverConfig, solve
 
 import oracles
@@ -30,6 +31,23 @@ class TestBlockQuadraticForm:
         h = np.diag([1.0, 1.0, -1.0])
         assert not BlockQuadraticForm(h, (1, 1, 1)).diagonal_blocks_positive_definite()
         assert BlockQuadraticForm(np.eye(3), (2, 1)).diagonal_blocks_positive_definite()
+
+    @pytest.mark.parametrize("zero_tol", [1e-8, 1e-2])
+    def test_definiteness_matches_block_inertia(self, zero_tol):
+        # definite, indefinite and semidefinite diagonal blocks
+        rng = np.random.default_rng(20)
+        for trial in range(40):
+            sizes = tuple(int(m) for m in rng.integers(1, 4, size=3))
+            g = rng.standard_normal((sum(sizes), sum(sizes)))
+            h = g + g.T + rng.uniform(-1.0, 4.0) * np.eye(sum(sizes))
+            if trial % 4 == 0:
+                h[0, :] = h[:, 0] = 0.0  # a zero eigenvalue in block 0
+            form = BlockQuadraticForm(h, sizes)
+            expected = all(
+                inertia(form.block(j, j), zero_tol=zero_tol).positive == m
+                for j, m in enumerate(sizes)
+            )
+            assert form.diagonal_blocks_positive_definite(zero_tol) == expected
 
 
 class TestGaussSeidelMatrix:
@@ -122,6 +140,12 @@ class TestAnalyze:
             assert report.ostrowski
             assert report.unit_circle_near_one
 
+    def test_singular_diagonal_block_raises(self):
+        h = np.diag([1.0, 0.0, 2.0])
+        with pytest.raises(SingularBlockError) as exc:
+            analyze(BlockQuadraticForm(h, (1, 1, 1)))
+        assert exc.value.block_index == 1
+
     def test_indefinite_diagonal_blocks_not_applicable(self):
         h = np.array(
             [[1.0, 0.0, 0.3], [0.0, -1.0, 0.1], [0.3, 0.1, 2.0]]
@@ -173,6 +197,72 @@ class TestBasinExperiment:
         trajectory = basin_experiment(form, null, sweeps=20)
         assert not trajectory.converged_to_zero
         assert trajectory.norms[-1] == pytest.approx(trajectory.norms[0], rel=1e-9)
+
+
+def perfbench_form(seed, order, nblocks=3):
+    """A coupled indefinite form with definite diagonal blocks and a start,
+    built the way perfbench's analysis workload builds its forms."""
+    rng = np.random.default_rng([seed, order])
+    m = order // nblocks
+    coupling = rng.standard_normal((order, order))
+    h = 1.5 * (coupling + coupling.T) / np.sqrt(2.0 * order)
+    for j in range(nblocks):
+        g = rng.standard_normal((m, m))
+        block = slice(j * m, (j + 1) * m)
+        h[block, block] = g @ g.T / m + (0.5 + rng.random()) * np.eye(m)
+    return BlockQuadraticForm(h, (m,) * nblocks), rng.standard_normal(order)
+
+
+def reference_basin(q, xi0, sweeps, zero_threshold=1e-10):
+    """The basin loop over the public, checked ami_sweep."""
+    xi = np.asarray(xi0, dtype=np.float64)
+    norms = [float(np.linalg.norm(xi))]
+    f_values = [q.f(xi)]
+    converged = norms[0] <= zero_threshold
+    run = 0
+    for run in range(1, sweeps + 1):
+        xi = ami_sweep(q, xi)
+        norms.append(float(np.linalg.norm(xi)))
+        f_values.append(q.f(xi))
+        if norms[-1] <= zero_threshold:
+            converged = True
+            break
+        if not np.isfinite(norms[-1]) or norms[-1] > 1e150:
+            break
+    return norms, f_values, run, converged
+
+
+class TestBasinChecksOnce:
+    @pytest.mark.parametrize("order", [12, 48, 96])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trajectory_equals_public_sweep_loop(self, seed, order):
+        form, xi0 = perfbench_form(seed, order)
+        got = basin_experiment(form, xi0, 100)
+        norms, f_values, run, converged = reference_basin(form, xi0, 100)
+        assert got.norms == norms
+        assert got.f_values == f_values
+        assert got.sweeps_run == run
+        assert got.converged_to_zero == converged
+
+    def test_singular_diagonal_block_raises(self):
+        form = BlockQuadraticForm(np.diag([1.0, 0.0, 2.0]), (1, 2))
+        with pytest.raises(SingularBlockError) as exc:
+            basin_experiment(form, np.ones(3), 5)
+        assert exc.value.block_index == 1
+
+    @pytest.mark.parametrize("sweeps", [0, 3])
+    def test_wrong_length_start_raises(self, sweeps):
+        form = BlockQuadraticForm(np.eye(4), (2, 2))
+        with pytest.raises(DimensionError):
+            basin_experiment(form, np.ones(3), sweeps)
+
+    def test_zero_sweeps_run_no_block_check(self):
+        # no sweep is taken, so a singular block is not an error
+        form = BlockQuadraticForm(np.diag([1.0, 0.0, 2.0]), (1, 2))
+        trajectory = basin_experiment(form, np.ones(3), 0)
+        assert trajectory.sweeps_run == 0
+        assert trajectory.norms == [float(np.sqrt(3.0))]
+        assert trajectory.f_values == [-3.0]
 
 
 class TestHessianFormBridge:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,12 @@ from rank1tensor import (
     f_value,
 )
 from rank1tensor.core import contract_vectors, contract_vectors_pair
-from rank1tensor import linalg
+from rank1tensor import cli, kernels, linalg
 from rank1tensor.diagnostics import check_semi_max
 from rank1tensor.linalg import top_singular_triple
 from rank1tensor.solvers import (
     SolverConfig,
+    _normalized,
     _random_start,
     als_sweep,
     asvd_sweep,
@@ -545,3 +549,212 @@ class TestOptimizationCallCounts:
         als = solve(t, SolverConfig(method="als", **kwargs))
         mals = solve(t, SolverConfig(method="mals", **kwargs))
         assert mals.optimization_calls == 2 * als.optimization_calls
+
+
+def reference_records(t, method, u, sweeps):
+    """(index, f_before, f_after, opt_calls, substeps) per sweep of
+    ``sweeps`` sweeps from ``u``, each sub-step kept as (modes, f_after,
+    chosen, candidate items) when it is taken. The contractions, pair steps
+    and candidate caches are the solver's own, so values agree bit for bit."""
+    arr, d = t.array, t.ndim
+    vecs = [v.copy() for v in u.vectors]
+    f_before, calls, records = f_value(t, u), 0, []
+
+    def pair(i, j):
+        nonlocal calls
+        calls += 1
+        return top_singular_triple(kernels.contract_all_but_two(arr, vecs, i, j))
+
+    for index in range(1, sweeps + 1):
+        steps = []
+        if method == "als":
+
+            def update(i, v):
+                f, vecs[i] = _normalized(i, v)
+                steps.append(((i,), f, None, None))
+
+            kernels.contract_each(arr, vecs, range(d), update)
+            calls += d
+        elif method == "asvd":
+            for i, j in default_pair_schedule(d):
+                triple = pair(i, j)
+                vecs[i], vecs[j] = triple.u, triple.v
+                steps.append(((i, j), triple.sigma, None, None))
+        elif method == "mals":
+            versions, cache, remaining = [0] * d, {}, list(range(d))
+            while remaining:
+                stamps = {i: tuple(versions[j] for j in range(d) if j != i) for i in remaining}
+                stale = [i for i in remaining if i not in cache or cache[i][2] != stamps[i]]
+
+                def record(i, v):
+                    cache[i] = (*_normalized(i, v), stamps[i])
+
+                kernels.contract_each(arr, vecs, stale, record)
+                calls += len(stale)
+                best = max(remaining, key=lambda i: (cache[i][0], -i))
+                if (vecs[best] != cache[best][1]).any():
+                    versions[best] += 1
+                vecs[best] = cache[best][1]
+                items = [(i, cache[i][0]) for i in remaining]
+                steps.append(((best,), cache[best][0], best, items))
+                remaining.remove(best)
+        else:
+            versions, cache, remaining = [0, 0, 0], {}, [0, 1, 2]
+            while remaining:
+                for k in remaining:
+                    if k not in cache or cache[k][1] != versions[k]:
+                        cache[k] = (pair(*(m for m in range(3) if m != k)), versions[k])
+                best = max(remaining, key=lambda k: (cache[k][0].sigma, -k))
+                triple = cache[best][0]
+                i, j = (m for m in range(3) if m != best)
+                versions[i] += bool((vecs[i] != triple.u).any())
+                versions[j] += bool((vecs[j] != triple.v).any())
+                vecs[i], vecs[j] = triple.u, triple.v
+                items = [(k, cache[k][0].sigma) for k in remaining]
+                steps.append(((i, j), triple.sigma, best, items))
+                remaining.remove(best)
+        records.append((index, f_before, steps[-1][1], calls, steps))
+        f_before = steps[-1][1]
+    return records
+
+
+def record_tuples(trace):
+    return [
+        (
+            r.index,
+            r.f_before,
+            r.f_after,
+            r.opt_calls,
+            [
+                (s.modes, s.f_after, s.chosen, None if s.candidates is None else list(s.candidates.items()))
+                for s in r.substeps
+            ],
+        )
+        for r in trace.iterations
+    ]
+
+
+#: ``decompose --max-iters 3 --trace`` rows on TRACE_TENSOR_4X4X4, as the
+#: per-step trace objects wrote them
+TRACE_CSV_ROWS = {
+    "als": [
+        "1,0,0,,3.0379878187594387,3",
+        "1,1,1,,4.2366100575398686,3",
+        "1,2,2,,7.6236920206863612,3",
+        "2,0,0,,7.7795159275227093,6",
+        "2,1,1,,8.9701887243758502,6",
+        "2,2,2,,10.251556818704314,6",
+        "3,0,0,,10.773865505244107,9",
+        "3,1,1,,12.935288381228764,9",
+        "3,2,2,,13.433458480248092,9",
+    ],
+    "asvd": [
+        "1,0,1+2,,8.1507766564075563,3",
+        "1,1,0+2,,13.377857630986231,3",
+        "1,2,0+1,,14.973637700631452,3",
+        "2,0,1+2,,15.034570922538048,6",
+        "2,1,0+2,,15.089504047072788,6",
+        "2,2,0+1,,15.097743928894975,6",
+        "3,0,1+2,,15.098044818317971,9",
+        "3,1,0+2,,15.098385774537492,9",
+        "3,2,0+1,,15.098463376511466,9",
+    ],
+    "mals": [
+        "1,0,2,2,5.3310189898242095,6",
+        "1,1,1,1,6.2242126785626564,6",
+        "1,2,0,0,7.2689243342445993,6",
+        "2,0,1,1,7.9762563005473748,12",
+        "2,1,2,2,9.0040379487847595,12",
+        "2,2,0,0,9.7839162474068306,12",
+        "3,0,1,1,12.351059703852103,18",
+        "3,1,2,2,13.530859266036988,18",
+        "3,2,0,0,14.401462055246258,18",
+    ],
+    "masvd": [
+        "1,0,0+2,1,8.346939061317606,6",
+        "1,1,0+1,2,13.391738450649919,6",
+        "1,2,1+2,0,13.59835558232011,6",
+        "2,0,0+2,1,14.099832119992339,12",
+        "2,1,0+1,2,14.396863915249,12",
+        "2,2,1+2,0,14.492174655307487,12",
+        "3,0,0+2,1,14.761278173621795,18",
+        "3,1,0+1,2,14.978601363696736,18",
+        "3,2,1+2,0,15.017095523063043,18",
+    ],
+}
+TRACE_TENSOR_4X4X4 = [(7 * i + 3) % 11 - 5 for i in range(64)]
+
+
+class TestColumnarTrace:
+    @pytest.mark.parametrize(
+        "method, dims",
+        [
+            ("als", (4, 3, 5)),
+            ("asvd", (4, 3, 5)),
+            ("mals", (4, 3, 5)),
+            ("masvd", (4, 3, 5)),
+            ("als", (3, 4, 2, 3)),
+            ("asvd", (3, 4, 2, 3)),
+            ("mals", (3, 4, 2, 3)),
+        ],
+    )
+    def test_records_equal_per_step_reference(self, method, dims):
+        t = random_tensor(dims, 70 + len(dims))
+        u = random_tuple(dims, 71)
+        result = solve(
+            t,
+            SolverConfig(method=method, max_iterations=6, fitchange_tol=1e-300),
+            initial=u,
+        )
+        assert result.iterations == 6
+        assert record_tuples(result.trace) == reference_records(t, method, u, 6)
+        assert list(result.trace.f_sequence()) == [result.trace.f_initial] + [
+            s.f_after for r in result.trace.iterations for s in r.substeps
+        ]
+        assert all(r.wall_seconds >= 0.0 for r in result.trace.iterations)
+
+    @pytest.mark.parametrize("method", ["mals", "masvd"])
+    def test_candidates_rescaled_at_extreme_scale(self, method):
+        t = random_tensor((3, 4, 3), 72)
+        cfg = SolverConfig(method=method, seed=73)
+        base = record_tuples(solve(t, cfg).trace)
+        got = record_tuples(solve(Tensor(1e200 * t.array), cfg).trace)
+        assert len(got) == len(base)
+        for rg, rb in zip(got, base):
+            assert (rg[0], rg[3]) == (rb[0], rb[3])
+            assert rg[1] == pytest.approx(1e200 * rb[1], rel=1e-12, abs=0.0)
+            for sg, sb in zip(rg[4], rb[4]):
+                assert (sg[0], sg[2]) == (sb[0], sb[2])
+                assert [k for k, _ in sg[3]] == [k for k, _ in sb[3]]
+                assert [v for _, v in sg[3]] == pytest.approx(
+                    [1e200 * v for _, v in sb[3]], rel=1e-12, abs=0.0
+                )
+
+    def test_tight_masvd_trace_memory_per_sweep(self):
+        # the bytes freed when the trace of a tight solve is dropped
+        t = random_tensor((8, 8, 8), 74)
+        cfg = SolverConfig(method="masvd", seed=75, fitchange_tol=1e-12, max_iterations=2000)
+        solve(t, cfg)
+        tracemalloc.start()
+        try:
+            result = solve(t, cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            result.trace = None
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations >= 10
+        assert freed <= 400 * result.iterations
+
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    def test_decompose_trace_csv_unchanged(self, method, tmp_path, capsys):
+        tensor = tmp_path / "t.txt"
+        tensor.write_text("3\n4 4 4\n" + " ".join(map(str, TRACE_TENSOR_4X4X4)) + "\n")
+        out = tmp_path / "trace.csv"
+        args = ["decompose", "--input", str(tensor), "--method", method]
+        assert cli.main(args + ["--max-iters", "3", "--trace", str(out)]) == 0
+        capsys.readouterr()
+        expected = ["iteration,substep,modes,chosen,f_after,opt_calls", *TRACE_CSV_ROWS[method]]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")

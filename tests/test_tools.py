@@ -110,3 +110,33 @@ def test_summary_counts_only_seeds_run_on_both_sides():
         "parent": [0, 0],
         "change": [0, None],
     }
+
+
+def test_peak_rss_read_against_items_attempted():
+    def run(side, seed, rss, attempted):
+        return {"seed": seed, "side": side, "attempted": attempted, "metrics": {"peak_rss_mb": rss}}
+
+    runs = [
+        run("parent", 801, 55.0, 4000),
+        run("parent", 802, 56.0, 4600),
+        run("parent", 803, 55.5, 4500),
+        run("change", 801, 52.0, 14000),
+        run("change", 802, 53.0, 13000),
+        run("change", 803, 52.5, 14500),
+    ]
+    rss = perf_ab.summarize(runs, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert (rss["parent_attempted_median"], rss["change_attempted_median"]) == (4500, 14000)
+    # (52.5 - 55.5) MB over 9,500 extra items
+    assert rss["mb_per_1000_extra_items"] == pytest.approx(-3.0 / 9.5)
+    line = perf_ab.rss_line("analysis", {"peak_rss_mb": rss})
+    assert line == (
+        "analysis peak_rss_mb: parent 55.50 MB at 4,500 items, change 52.50 MB at "
+        "14,000 items, -0.316 MB per 1,000 extra items"
+    )
+
+    same = [run("parent", 801, 55.0, 4000), run("change", 801, 55.5, 4000)]
+    rss = perf_ab.summarize(same, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert rss["mb_per_1000_extra_items"] is None
+    assert perf_ab.rss_line("w", {"peak_rss_mb": rss}).endswith("equal item counts")
+    # no RSS metric, no line
+    assert perf_ab.rss_line("w", perf_ab.summarize(runs_from("parent", [(1, 1)]), BETTER)) is None

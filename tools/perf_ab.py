@@ -22,7 +22,10 @@ the machine metadata perfbench prints, and per workload and metric each
 side's median and quartiles, the parent's interquartile range, the pairs the
 change won (ties count for neither) and whether a gain may be claimed: at
 least ten pairs, nine tenths of them won, and a median gain beyond the
-parent's interquartile range. It is rewritten after every run, so an
+parent's interquartile range. Next to ``peak_rss_mb`` it gives each side's
+median ``attempted`` and the RSS change per 1,000 extra items, and prints
+that line per workload, since perfbench's peak RSS grows with the items a
+run completes. It is rewritten after every run, so an
 interrupted command keeps what it measured. It also records the ratio of CPU time to wall time of BLAS matrix-vector
 reductions at several sizes, under the BLAS thread count perfbench pins: a
 ratio near 1 means BLAS ran on one thread.
@@ -101,9 +104,11 @@ def summarize(runs, better):
     "higher". Only seeds run on both sides count as pairs.
     """
     by_side = {"parent": {}, "change": {}}
+    attempted = {"parent": {}, "change": {}}
     for run in runs:
         if run.get("metrics"):
             by_side[run["side"]][run["seed"]] = run["metrics"]
+            attempted[run["side"]][run["seed"]] = run.get("attempted")
     seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
     summary = {}
     for name, direction in better.items():
@@ -132,7 +137,32 @@ def summarize(runs, better):
             and 10 * won >= 9 * len(seeds)
             and gain > p3 - p1,
         }
+    rss = summary.get("peak_rss_mb")
+    items = {side: [attempted[side][s] for s in seeds] for side in attempted}
+    if rss is not None and None not in items["parent"] + items["change"]:
+        # peak RSS grows with the items a run completes; read it against them
+        pa, ca = statistics.median(items["parent"]), statistics.median(items["change"])
+        rss["parent_attempted_median"] = pa
+        rss["change_attempted_median"] = ca
+        rss["mb_per_1000_extra_items"] = (
+            1000.0 * (rss["change_median"] - rss["parent_median"]) / (ca - pa) if ca != pa else None
+        )
     return summary
+
+
+def rss_line(workload, summary):
+    """One line: each side's median peak RSS next to its median item count,
+    and the RSS change per 1,000 extra items; None without those figures."""
+    rss = summary.get("peak_rss_mb", {})
+    if "parent_attempted_median" not in rss:
+        return None
+    per = rss["mb_per_1000_extra_items"]
+    return (
+        f"{workload} peak_rss_mb: parent {rss['parent_median']:.2f} MB at "
+        f"{rss['parent_attempted_median']:,.0f} items, change {rss['change_median']:.2f} MB at "
+        f"{rss['change_attempted_median']:,.0f} items, "
+        + ("equal item counts" if per is None else f"{per:+.3f} MB per 1,000 extra items")
+    )
 
 
 def failed_per_run(runs):
@@ -297,6 +327,9 @@ def main(argv=None):
                     entry["summary"] = summarize(entry["runs"], better)
                     save()
                 entry["seeds"].append(seed)
+            line = rss_line(workload, entry.get("summary", {}))
+            if line:
+                print(line, file=sys.stderr)
         for workload, seeds in args.trace:
             for seed in seeds:
                 traced = result["traced"].setdefault(f"{workload}:{seed}", {})
