@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -272,18 +272,19 @@ def basin_experiment(q, xi0, sweeps, zero_threshold=1e-10):
     )
 
 
-def hessian_form_at(t, u, step=1e-5):
-    """Experimental: local quadratic model of the objective at a tuple.
+def hessian_form_at(t, u):
+    """Local quadratic model of the objective at a tuple.
 
-    Builds tangent coordinates on each sphere (an orthonormal completion of
-    x_i), evaluates the objective through the normalized retraction, and
-    returns -1/2 of its finite-difference Hessian as a
+    Tangent coordinates on each sphere map theta_i to x_i + Q_i theta_i,
+    normalized, where Q_i is an orthonormal basis orthogonal to x_i. In them
+    f(theta) = f(0) + g^T theta - theta^T H theta + O(|theta|^3), with H
+    minus half the Riemannian Hessian in closed form: block (i, i) is
+    (f / 2) I and block (i, j) is -(1/2) Q_i^T M_ij Q_j, M_ij being the
+    all-but-two contraction at the tuple. Returns H as a
     :class:`BlockQuadraticForm` with block sizes (m_i - 1). Near a strict
-    local maximum the diagonal blocks come out positive definite, so
-    :func:`analyze` applies to the local alternating iteration.
+    local maximum the diagonal blocks are positive definite, :func:`analyze`
+    applies, and its spectral radius is the local linear rate of als.
     """
-    from .core import f_value as _f_value
-
     if t.dims != u.dims:
         raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
     bases = []
@@ -297,33 +298,13 @@ def hessian_form_at(t, u, step=1e-5):
             q_mat = -q_mat
         bases.append(q_mat[:, 1:])  # orthonormal, orthogonal to x
 
-    sizes = [m - 1 for m in t.dims]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-
-    def g(theta):
-        from .core import UnitTuple as _UnitTuple
-
-        vecs = []
-        for i, x in enumerate(u.vectors):
-            th = theta[offsets[i] : offsets[i + 1]]
-            v = x + bases[i] @ th
-            vecs.append(v / np.linalg.norm(v))
-        return _f_value(t, _UnitTuple(vecs))
-
-    g0 = g(np.zeros(total))
-    hess = np.empty((total, total))
-    for a in range(total):
-        ea = np.zeros(total)
-        ea[a] = step
-        hess[a, a] = (g(ea) - 2.0 * g0 + g(-ea)) / step**2
-        for b in range(a + 1, total):
-            eb = np.zeros(total)
-            eb[b] = step
-            val = (g(ea + eb) - g(ea - eb) - g(-ea + eb) + g(-ea - eb)) / (
-                4.0 * step**2
-            )
-            hess[a, b] = val
-            hess[b, a] = val
-    # f(theta) ~ f(0) - theta^T H theta with H = -(1/2) * Hessian
-    return BlockQuadraticForm(-0.25 * (hess + hess.T), sizes)
+    arr, vecs = t.array, u.vectors
+    f = float(vecs[0] @ kernels.contract_all_but_one(arr, vecs, 0))
+    blocks = [[None] * len(bases) for _ in bases]
+    for i, q_i in enumerate(bases):
+        blocks[i][i] = 0.5 * f * np.eye(q_i.shape[1])
+        for j in range(i + 1, len(bases)):
+            m_ij = kernels.contract_all_but_two(arr, vecs, i, j)
+            blocks[i][j] = -0.5 * (q_i.T @ m_ij @ bases[j])
+            blocks[j][i] = blocks[i][j].T
+    return BlockQuadraticForm(np.block(blocks), [m - 1 for m in t.dims])

@@ -4,12 +4,11 @@ quality tables, CSV output.
 Synthetic data is regenerated per run (with a per-run seed derived from the
 spec seed and the run index), volume files are read as-is; each run also
 gets a fresh random start. Rows are therefore reproducible bit for bit
-except for the wall-clock column, independently of the worker count.
+except for the wall-clock column.
 """
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
@@ -207,7 +206,7 @@ def _one_run(spec, method, run, base_cfg):
     )
 
 
-def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None, parallel=1):
+def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None):
     """Execute ``runs`` seeded solves per (spec, method) and aggregate.
 
     Returns (rows, csv_text); also writes the CSV when ``out_csv`` is given.
@@ -220,33 +219,15 @@ def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None, parallel=1):
     if base_cfg is None:
         base_cfg = SolverConfig()
 
-    tasks = [
-        (si, mi, r, spec, method)
-        for si, spec in enumerate(specs)
-        for mi, method in enumerate(methods)
-        for r in range(runs)
-    ]
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            records = list(
-                pool.map(lambda t: _one_run(t[3], t[4], t[2], base_cfg), tasks)
-            )
-    else:
-        records = [_one_run(spec, method, r, base_cfg) for _, _, r, spec, method in tasks]
-
-    keyed = {
-        (t[0], t[1], t[2]): rec for t, rec in zip(tasks, records)
-    }
-
     def nanmean(values):
         finite = [v for v in values if not np.isnan(v)]
         return float(np.mean(finite)) if finite else float("nan")
 
     rows = []
     csv_lines = [CSV_HEADER]
-    for si, spec in enumerate(specs):
-        for mi, method in enumerate(methods):
-            group = [keyed[(si, mi, r)] for r in range(runs)]
+    for spec in specs:
+        for method in methods:
+            group = [_one_run(spec, method, r, base_cfg) for r in range(runs)]
             csv_lines.extend(rec.csv_line() for rec in group)
             walls = [rec.wall_seconds for rec in group]
             rows.append(

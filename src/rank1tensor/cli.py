@@ -111,13 +111,7 @@ def cmd_bench(args):
         for kind in kinds
         for n in sizes
     ]
-    rows, _ = bench_mod.run_bench(
-        specs,
-        methods,
-        runs=args.runs,
-        out_csv=args.out,
-        parallel=args.parallel,
-    )
+    rows, _ = bench_mod.run_bench(specs, methods, runs=args.runs, out_csv=args.out)
     print(
         f"{'method':>7} {'dataset':>16} {'dims':>10} {'runs':>4} "
         f"{'wall_mean':>10} {'calls':>7} {'lambda':>12} {'rel_err':>9}"
@@ -205,7 +199,6 @@ def build_parser():
     p.add_argument("--runs", type=int, default=10, help="runs per cell (default 10)")
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--out", default="bench.csv", help="CSV path (default bench.csv)")
-    p.add_argument("--parallel", type=int, default=1, help="worker count (default 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ami", help="block Gauss-Seidel spectrum analysis")

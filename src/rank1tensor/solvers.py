@@ -352,30 +352,25 @@ def _asvd_sweep(arr, vecs, trace, schedule):
 
 
 def _mals_sweep(arr, vecs, trace):
-    # Candidate for mode i depends on every other current vector; cached
-    # values are reused only when all of those are provably unchanged. The
-    # stale candidates of a round are all taken at one tuple, in one call.
-    d = arr.ndim
-    versions = [0] * d
+    # Every remaining candidate depends on the mode just applied, so a round
+    # recomputes all of them, at one tuple and in one call, or none when
+    # that mode's vector did not change.
     cache = {}
-    remaining = list(range(d))
+    remaining = list(range(arr.ndim))
+    changed = True
     f = None
 
     def record(i, v):
-        cache[i] = (*_normalized(i, v), stamps[i])
+        cache[i] = _normalized(i, v)
 
     while remaining:
-        stamps = {
-            i: tuple(versions[j] for j in range(d) if j != i) for i in remaining
-        }
-        stale = [i for i in remaining if i not in cache or cache[i][2] != stamps[i]]
-        kernels.contract_each(arr, vecs, stale, record)
-        trace._calls += len(stale)
+        if changed:
+            kernels.contract_each(arr, vecs, remaining, record)
+            trace._calls += len(remaining)
         candidates = {i: cache[i][0] for i in remaining}
         best = max(remaining, key=lambda i: (candidates[i], -i))
-        f, vector, _ = cache[best]
-        if (vecs[best] != vector).any():
-            versions[best] += 1
+        f, vector = cache[best]
+        changed = (vecs[best] != vector).any()
         vecs[best] = vector
         trace._record(f, (best,), best, candidates)
         remaining.remove(best)
@@ -384,28 +379,24 @@ def _mals_sweep(arr, vecs, trace):
 
 def _masvd_sweep(arr, vecs, trace):
     # Candidate k freezes x_k and replaces the other two vectors by the top
-    # singular pair of the contracted matrix; it depends on x_k only.
-    versions = [0, 0, 0]
+    # singular pair of the contracted matrix; it depends on x_k only, so it
+    # is dropped from the cache when x_k changes.
     cache = {}
     remaining = [0, 1, 2]
     f = None
     while remaining:
-        candidates = {}
         for k in remaining:
-            entry = cache.get(k)
-            if entry is None or entry[3] != versions[k]:
+            if k not in cache:
                 i, j = (m for m in range(3) if m != k)
                 triple = _pair_update(arr, vecs, i, j, trace)
-                entry = (triple.sigma, triple.u, triple.v, versions[k])
-                cache[k] = entry
-            candidates[k] = entry[0]
+                cache[k] = (triple.sigma, triple.u, triple.v)
+        candidates = {k: cache[k][0] for k in remaining}
         best = max(remaining, key=lambda k: (candidates[k], -k))
-        f, u_new, v_new, _ = cache[best]
+        f, u_new, v_new = cache[best]
         i, j = (m for m in range(3) if m != best)
-        if (vecs[i] != u_new).any():
-            versions[i] += 1
-        if (vecs[j] != v_new).any():
-            versions[j] += 1
+        for m, new in ((i, u_new), (j, v_new)):
+            if (vecs[m] != new).any():
+                cache.pop(m, None)
         vecs[i], vecs[j] = u_new, v_new
         trace._record(f, (i, j), best, candidates)
         remaining.remove(best)

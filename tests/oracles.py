@@ -158,3 +158,50 @@ def gauss_seidel_2x2_reference(a):
     two scalar update equations solved by hand:
     xi1' = -a xi2, then xi2' = -a xi1' = a^2 xi2."""
     return np.array([[0.0, -a], [0.0, a * a]])
+
+
+def tangent_bases(vectors):
+    """Per vector x, its orthonormal completion Q (columns orthogonal to
+    x) from the QR factorization of [x, I], signed so that the first
+    column is +x: the tangent coordinates of ``ami.hessian_form_at``."""
+    bases = []
+    for x in vectors:
+        q_mat, _ = np.linalg.qr(np.concatenate([x[:, None], np.eye(x.size)], axis=1))
+        if np.dot(q_mat[:, 0], x) < 0:
+            q_mat = -q_mat
+        bases.append(q_mat[:, 1:])
+    return bases
+
+
+def finite_difference_hessian_form(arr, vectors, step=1e-4):
+    """-1/2 of the central-difference Hessian, at theta = 0, of
+    theta -> <T, y_1 (x) ... (x) y_d> with y_i = (x_i + Q_i theta_i) / |.|.
+
+    Q_i comes from :func:`tangent_bases`; the objective is contracted mode
+    by mode with ``np.tensordot``. Returns a dense matrix with blocks of
+    size (m_i - 1).
+    """
+    bases = tangent_bases(vectors)
+    offsets = np.concatenate([[0], np.cumsum([q.shape[1] for q in bases])])
+    total = int(offsets[-1])
+
+    def g(theta):
+        out = np.asarray(arr, dtype=float)
+        for i, (x, q) in enumerate(zip(vectors, bases)):
+            y = x + q @ theta[offsets[i] : offsets[i + 1]]
+            out = np.tensordot(y / np.linalg.norm(y), out, axes=(0, 0))
+        return float(out)
+
+    g0 = g(np.zeros(total))
+    hess = np.empty((total, total))
+    for a in range(total):
+        ea = np.zeros(total)
+        ea[a] = step
+        hess[a, a] = (g(ea) - 2.0 * g0 + g(-ea)) / step**2
+        for b in range(a + 1, total):
+            eb = np.zeros(total)
+            eb[b] = step
+            hess[a, b] = hess[b, a] = (
+                g(ea + eb) - g(ea - eb) - g(-ea + eb) + g(-ea - eb)
+            ) / (4.0 * step**2)
+    return -0.5 * hess

@@ -11,7 +11,7 @@ from rank1tensor.ami import (
     hessian_form_at,
 )
 from rank1tensor.linalg import inertia
-from rank1tensor.solvers import SolverConfig, solve
+from rank1tensor.solvers import SolverConfig, als_sweep, init_random, solve
 
 import oracles
 from ami_instances import instance_stream
@@ -272,8 +272,103 @@ class TestHessianFormBridge:
             t,
             SolverConfig(method="als", seed=12, max_iterations=500, fitchange_tol=1e-13),
         )
-        form = hessian_form_at(t, result.axes, step=1e-4)
+        form = hessian_form_at(t, result.axes)
         assert form.block_sizes == (2, 2, 2)
         assert form.diagonal_blocks_positive_definite(zero_tol=1e-6)
         report = analyze(form)
         assert report.alpha + report.beta + report.gamma == form.order
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 5, 4, 3)])
+    @pytest.mark.parametrize("at", ["tight_solve", "random"])
+    def test_matches_finite_difference_oracle(self, dims, at):
+        t = Tensor(np.random.default_rng(3).standard_normal(dims))
+        if at == "tight_solve":
+            cfg = SolverConfig(seed=4, max_iterations=2000, fitchange_tol=1e-15)
+            u = solve(t, cfg).axes
+        else:
+            u = init_random(dims, seed=4)
+        h = hessian_form_at(t, u).h
+        reference = oracles.finite_difference_hessian_form(t.array, u.vectors)
+        assert h.shape == reference.shape
+        assert np.max(np.abs(h - reference)) <= 1e-6 * np.max(np.abs(h))
+
+    def test_step_keyword_rejected(self):
+        t = Tensor(np.random.default_rng(5).standard_normal((3, 3, 3)))
+        with pytest.raises(TypeError):
+            hessian_form_at(t, init_random(t.dims, seed=0), step=1e-4)
+
+    @pytest.mark.parametrize(
+        "dims, seed",
+        [
+            ((8, 8, 8), 0),
+            ((8, 8, 8), 1),
+            ((8, 8, 8), 2),
+            pytest.param(
+                (6, 5, 4, 3),
+                0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="K's top eigenvalues are 0.346 +- 0.120i (modulus 0.367) "
+                    "and 0.355: the error ratios oscillate, and the window holds "
+                    "8 sweeps, whose mean ratio is 0.328",
+                ),
+            ),
+            ((6, 5, 4, 3), 1),
+            ((6, 5, 4, 3), 2),
+        ],
+    )
+    def test_spectral_radius_is_observed_als_rate(self, dims, seed):
+        # the observed rate is the geometric mean of the error ratios of the
+        # sweeps that start with |x_k - x*| in [1e-8, 1e-4]
+        t, tuples, errors = als_tail(dims, seed)
+        ratios = [
+            errors[k + 1] / errors[k]
+            for k in range(len(errors) - 1)
+            if 1e-8 <= errors[k] <= 1e-4
+        ]
+        assert len(ratios) >= 5
+        observed = float(np.exp(np.mean(np.log(ratios))))
+        rho = analyze(hessian_form_at(t, tuples[-1])).spectral_radius
+        assert observed == pytest.approx(rho, rel=0.02)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 5, 4, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_als_sweep_linearizes_to_gauss_seidel_matrix(self, dims, seed):
+        # in the tangent coordinates at x*, one als sweep maps the error to
+        # K times it, up to a remainder of second order in the error
+        t, tuples, errors = als_tail(dims, seed)
+        k = gauss_seidel_matrix(hessian_form_at(t, tuples[-1]))
+        basis = block_diag(oracles.tangent_bases(tuples[-1].vectors))
+        jacobian = basis @ k @ basis.T
+        limit = np.concatenate(tuples[-1].vectors)
+        window = [i for i in range(len(errors) - 1) if 1e-8 <= errors[i] <= 1e-4]
+        assert len(window) >= 5
+        for i in window:
+            now, after = (np.concatenate(u.vectors) - limit for u in tuples[i : i + 2])
+            assert np.linalg.norm(after - jacobian @ now) <= 1e-2 * errors[i]
+
+
+def block_diag(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def als_tail(dims, seed):
+    """(t, tuples, errors) for a Gaussian tensor and a random start, both
+    from ``seed``: als to a fit change of 1e-15, then 200 more sweeps; the
+    last tuple is x* and errors[k] = |x_k - x*|."""
+    t = Tensor(np.random.default_rng(seed).standard_normal(dims))
+    u0 = init_random(dims, seed=seed, tensor=t)
+    cfg = SolverConfig(max_iterations=100_000, fitchange_tol=1e-15)
+    result = solve(t, cfg, initial=u0)
+    assert result.converged_by == "fitchange"
+    tuples = [u0]
+    for _ in range(result.iterations + 200):
+        tuples.append(als_sweep(t, tuples[-1]))
+    limit = np.concatenate(tuples[-1].vectors)
+    errors = [np.linalg.norm(np.concatenate(u.vectors) - limit) for u in tuples]
+    return t, tuples, errors

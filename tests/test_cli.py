@@ -251,6 +251,14 @@ class TestBench:
         ]
         assert strip(a.read_text()) == strip(b.read_text())
 
+    def test_parallel_flag_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--parallel", "2", "--out", str(out)])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAmi:
     def write_h(self, tmp_path, h, sizes, name="h.txt"):

@@ -261,6 +261,18 @@ class TestMalsSweep:
         for i, val in first.candidates.items():
             assert val == pytest.approx(expected[i], rel=1e-12)
 
+    def test_unchanged_vector_keeps_candidates(self):
+        # at an exact fixed point no applied vector changes, so one sweep
+        # evaluates the d candidates once, not d + (d - 1) + ... + 1 times
+        axes = UnitTuple([np.eye(m)[0] for m in (3, 4, 5, 2)])
+        t = Rank1Tensor(7.0, axes).to_tensor()
+        cfg = SolverConfig(method="mals", max_iterations=1, fitchange_tol=1e-30)
+        result = solve(t, cfg, initial=axes)
+        assert result.optimization_calls == 4
+        assert [v.tolist() for v in result.axes.vectors] == [
+            v.tolist() for v in axes.vectors
+        ]
+
     def test_sweep_does_not_decrease_objective(self, fixture_3cube):
         t = fixture_3cube
         u = random_tuple((3, 3, 3), 12)
