@@ -94,7 +94,7 @@ def generate(spec, seed=None):
     # volume_file: raw little-endian unsigned integers, row-major
     dtype = "<u1" if spec.bits == 8 else "<u2"
     raw = np.fromfile(spec.path, dtype=dtype)
-    expected = int(np.prod(spec.dims))
+    expected = math.prod(spec.dims)
     if raw.size != expected:
         raise InvalidInputError(
             f"{spec.path}: {raw.size} samples do not fill dims {spec.dims} "

@@ -7,19 +7,16 @@ spectrum analysis of a block matrix file).
 
 Exit codes: 0 success, 1 input error, 2 solver breakdown, 3 verification
 failure.
+
+``ami``, ``bench`` and ``diagnostics`` are imported by the subcommands that
+use them, so ``decompose`` does not pay for their import.
 """
 
 import argparse
 import sys
 
-from . import ami as ami_mod
-from . import bench as bench_mod
-from . import diagnostics, io
-from .errors import (
-    BreakdownError,
-    DegenerateInputError,
-    Rank1Error,
-)
+from . import io
+from .errors import BreakdownError, Rank1Error
 from .solvers import METHODS, SolverConfig, solve
 
 EXIT_OK = 0
@@ -72,6 +69,8 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
+    from . import diagnostics
+
     tensor = io.read_tensor_text(args.input)
     axes, adjusted = io.read_tuple_text(args.tuple)
     if axes.dims != tensor.dims:
@@ -103,6 +102,8 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    from . import bench as bench_mod
+
     sizes = [int(s) for s in args.sizes.split(",") if s]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     kinds = [k.strip() for k in args.datasets.split(",") if k.strip()]
@@ -127,6 +128,8 @@ def cmd_bench(args):
 
 
 def cmd_ami(args):
+    from . import ami as ami_mod
+
     h, sizes = io.read_block_matrix_text(args.input)
     form = ami_mod.BlockQuadraticForm(h, sizes)
     report = ami_mod.analyze(form)
@@ -214,16 +217,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BreakdownError as exc:
         print(f"solver breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Rank1Error as exc:
+    except (OSError, Rank1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -58,7 +58,7 @@ class Tensor:
         """Build from a flat value sequence in row-major order."""
         dims = tuple(int(m) for m in dims)
         values = np.asarray(values, dtype=np.float64)
-        if values.size != int(np.prod(dims)):
+        if values.size != math.prod(dims):
             raise DimensionError(
                 f"{values.size} values cannot fill a tensor of shape {dims}"
             )

@@ -22,6 +22,17 @@ def _lines(text):
     return text.splitlines()
 
 
+def _read_text(path):
+    """The file's text. A byte outside ASCII is a ParseError on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].decode("ascii", "replace").splitlines())
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not ASCII") from None
+
+
 def _parse_int(token, line, what):
     try:
         value = int(token)
@@ -63,7 +74,8 @@ def _parse_header(lines, count_what, dims_what):
     return d, tuple(dims)
 
 
-def _collect_values(lines, first_line, expected, what):
+def _scan_values(lines, first_line, expected, what):
+    """The exact scanner: ``float()`` per token, so an error names its line."""
     values = []
     last_line = first_line
     for offset, line in enumerate(lines[first_line - 1 :]):
@@ -73,21 +85,42 @@ def _collect_values(lines, first_line, expected, what):
                 raise ParseError(lineno, f"more than {expected} {what}")
             values.append(_parse_float(tok, lineno, what))
             last_line = lineno
-    if len(values) != expected:
+    if expected is not None and len(values) != expected:
         raise ParseError(last_line, f"expected {expected} {what}, got {len(values)}")
     return np.array(values)
+
+
+def _collect_values(lines, first_line, expected, what):
+    """The whitespace-separated values of ``lines[first_line - 1:]``, in
+    order; any count when ``expected`` is None.
+
+    NumPy's C reader parses them joined into one line. It splits where
+    ``str.split()`` splits and converts each field as ``float()`` does,
+    refusing what ``float()`` would first rewrite (underscores, non-ASCII
+    digits). A result of the expected count, all finite, is kept; anything
+    else reruns the exact scanner, so every error keeps its line and message.
+    """
+    body = " ".join(lines[first_line - 1 :])
+    if body and not body.isspace():
+        try:
+            values = np.loadtxt([body], comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if (expected is None or values.size == expected) and np.isfinite(values).all():
+                return values
+    return _scan_values(lines, first_line, expected, what)
 
 
 def parse_tensor_text(text):
     lines = _lines(text)
     _, dims = _parse_header(lines, "mode count", "dimensions")
-    values = _collect_values(lines, 3, int(np.prod(dims)), "tensor entries")
+    values = _collect_values(lines, 3, math.prod(dims), "tensor entries")
     return Tensor.from_flat(dims, values)
 
 
 def read_tensor_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tensor_text(fh.read())
+    return parse_tensor_text(_read_text(path))
 
 
 def format_tensor_text(t, per_line=8):
@@ -119,7 +152,7 @@ def parse_tuple_text(text):
             raise ParseError(
                 lineno, f"expected {dims[i]} entries for mode {i}, got {len(tokens)}"
             )
-        v = np.array([_parse_float(tok, lineno, "vector entry") for tok in tokens])
+        v = _collect_values(lines[:lineno], lineno, dims[i], "vector entry")
         n = np.linalg.norm(v)
         if n == 0.0:
             raise ParseError(lineno, f"mode-{i} vector is zero")
@@ -130,8 +163,7 @@ def parse_tuple_text(text):
 
 
 def read_tuple_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_tuple_text(fh.read())
+    return parse_tuple_text(_read_text(path))
 
 
 def format_tuple_text(u):
@@ -169,20 +201,15 @@ def parse_block_matrix_text(text):
 
 
 def read_block_matrix_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_block_matrix_text(fh.read())
+    return parse_block_matrix_text(_read_text(path))
 
 
 def parse_vector_text(text):
-    values = []
-    for lineno, line in enumerate(_lines(text), start=1):
-        for tok in line.split():
-            values.append(_parse_float(tok, lineno, "vector entry"))
-    if not values:
+    values = _collect_values(_lines(text), 1, None, "vector entry")
+    if not values.size:
         raise ParseError(1, "empty vector file")
-    return np.array(values)
+    return values
 
 
 def read_vector_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_vector_text(fh.read())
+    return parse_vector_text(_read_text(path))

@@ -23,26 +23,10 @@ The reduction is chosen by the size of the current result. Up to
 (``out.reshape(-1, m) @ v`` for the trailing axis, ``v @ out.reshape(-1, m,
 after)`` otherwise); above it, ``np.einsum("ijk,j->ik", ...)``.
 
-* Below the cap, BLAS is faster and runs on the calling thread. Per call,
-  best of 5 batches, over the three forms: 1.6-2.1 us against einsum's
-  3.0-3.6 at 8^3, 3.0-4.4 against 4.7-8.2 at 16^3, and 8.7-10.2 against
-  15.6-24.6 at 32^3. CPU time over wall time of the three ``@`` forms, with
-  OpenBLAS 0.3.31 and two BLAS threads on two cores (``tools/perf_ab.py``
-  measures it):
-
-  ===========  =================================================
-  entries      CPU / wall
-  ===========  =================================================
-  2^12 - 2^18  0.97 - 1.00 (one thread)
-  2^19         1.7 - 2.0 trailing and leading, 1.4 middle mode
-  ===========  =================================================
-
-* Above the cap, einsum runs the product in its own single-threaded loops.
-  A BLAS call there splits its work across the BLAS threads and waits for
-  all of them, so it slows down whenever another process holds one of their
-  cores: on two cores with one kept busy, a 128^3 call took 1.2 ms at the
-  median and 6.5 ms at the 95th percentile through BLAS, against 1.1 and
-  1.3 ms through einsum.
+Below the cap BLAS is faster and stays on the calling thread; above it,
+einsum's single-threaded loops do not wait on BLAS threads whose cores
+another process holds. The README's "Kernel reduction route" section has
+the measurements.
 
 Tensor passes. One all-but-one contraction reads the whole tensor once, so
 a loop over d modes reads it d times. ``contract_each`` reads it at most
@@ -55,7 +39,7 @@ import numpy as np
 
 #: Largest result, in entries, whose reduction goes through BLAS. OpenBLAS
 #: ran the ``@`` reductions on one thread up to 2^18 entries and on two at
-#: 2^19 (see the table above), so the cap sits 16x below the second thread.
+#: 2^19 (see the README), so the cap sits 16x below the second thread.
 BLAS_MAX_ENTRIES = 2**15
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -308,3 +312,78 @@ class TestAmi:
             float(report["basin_norm_first"]), rel=1e-8
         )
         assert report["basin_converged_to_zero"] == "False"
+
+
+class TestBadInputFiles:
+    """A file that cannot be read ends in exit 1 and one ``error:`` line."""
+
+    def run(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
+        return lines[0]
+
+    def test_decompose_directory(self, tmp_path, capsys):
+        self.run(["decompose", "--input", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("which", ["input", "tuple"])
+    def test_verify_directory(self, plant_files, tmp_path, capsys, which):
+        _, _, tensor_path, tuple_path = plant_files
+        paths = {"input": tensor_path, "tuple": tuple_path, which: str(tmp_path)}
+        self.run(["verify", "--input", paths["input"], "--tuple", paths["tuple"]], capsys)
+
+    def test_decompose_non_ascii_byte(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2\n2 2\n1 2\n3 4\xe9\n")
+        assert "line 4" in self.run(["decompose", "--input", str(bad)], capsys)
+
+    @pytest.mark.parametrize("which", ["input", "tuple"])
+    def test_verify_non_ascii_byte(self, plant_files, tmp_path, capsys, which):
+        _, _, tensor_path, tuple_path = plant_files
+        bad = tmp_path / "bad.txt"
+        with open({"input": tensor_path, "tuple": tuple_path}[which], "rb") as fh:
+            rows = fh.read().split(b"\n")
+        rows[3] += b"\x85"
+        bad.write_bytes(b"\n".join(rows))
+        paths = {"input": tensor_path, "tuple": tuple_path, which: str(bad)}
+        err = self.run(["verify", "--input", paths["input"], "--tuple", paths["tuple"]], capsys)
+        assert "line 4" in err and "0x85" in err
+
+
+def imported_modules(args):
+    """The modules ``python -m rank1tensor ARGS`` imports, from ``-X importtime``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rank1tensor", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+class TestImports:
+    LAZY = {"rank1tensor.ami", "rank1tensor.bench", "rank1tensor.diagnostics"}
+
+    def test_decompose_skips_analysis_modules(self, plant_files):
+        _, _, tensor_path, _ = plant_files
+        modules = imported_modules(["decompose", "--input", tensor_path])
+        assert {"rank1tensor.cli", "rank1tensor.io", "rank1tensor.solvers"} <= modules
+        assert not modules & self.LAZY
+
+    def test_verify_imports_diagnostics_only(self, plant_files):
+        _, _, tensor_path, tuple_path = plant_files
+        modules = imported_modules(["verify", "--input", tensor_path, "--tuple", tuple_path])
+        assert modules & self.LAZY == {"rank1tensor.diagnostics"}
