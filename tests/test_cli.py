@@ -349,7 +349,8 @@ class TestBadInputFiles:
         rows[3] += b"\x85"
         bad.write_bytes(b"\n".join(rows))
         paths = {"input": tensor_path, "tuple": tuple_path, which: str(bad)}
-        err = self.run(["verify", "--input", paths["input"], "--tuple", paths["tuple"]], capsys)
+        argv = ["verify", "--input", paths["input"], "--tuple", paths["tuple"]]
+        err = self.run(argv, capsys)
         assert "line 4" in err and "0x85" in err
 
 

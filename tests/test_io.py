@@ -129,10 +129,12 @@ READERS = {
 class TestFileBytes:
     @pytest.mark.parametrize("reader", sorted(READERS))
     @pytest.mark.parametrize("line", [1, 2, 4])
-    def test_non_ascii_byte_names_its_line(self, tmp_path, reader, line):
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, reader, line, at_start):
         read, data = READERS[reader]
         rows = data.split(b"\n")
-        rows[line - 1] += b" \xc3\xa9"
+        bad = b"\xc3\xa9"
+        rows[line - 1] = bad + rows[line - 1] if at_start else rows[line - 1] + bad
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\n".join(rows))
         with pytest.raises(ParseError) as exc:

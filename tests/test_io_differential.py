@@ -39,7 +39,8 @@ def bodies(draw):
     bad = draw(st.none() | st.tuples(st.integers(0, len(values)), st.sampled_from(BAD_TOKENS)))
     if bad is not None:
         values.insert(*bad)
-    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(values) + 1, max_size=len(values) + 1))
+    n = len(values) + 1
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n))
     text = seps[0] + "".join(v + s for v, s in zip(values, seps[1:]))
     return text, len(values)
 
