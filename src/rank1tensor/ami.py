@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, linalg
+from . import linalg
+from .core import f_from_arrays, tangent_hessian
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -276,11 +277,14 @@ def hessian_form_at(t, u):
     """Local quadratic model of the objective at a tuple.
 
     Tangent coordinates on each sphere map theta_i to x_i + Q_i theta_i,
-    normalized, where Q_i is an orthonormal basis orthogonal to x_i. In them
+    normalized, where Q_i, orthonormal and orthogonal to x_i, is the QR
+    factor of [x_i, I] past its first column. In them
     f(theta) = f(0) + g^T theta - theta^T H theta + O(|theta|^3), with H
-    minus half the Riemannian Hessian in closed form: block (i, i) is
-    (f / 2) I and block (i, j) is -(1/2) Q_i^T M_ij Q_j, M_ij being the
-    all-but-two contraction at the tuple. Returns H as a
+    minus half the Riemannian Hessian in closed form
+    (:func:`core.tangent_hessian`, which the solvers' Newton finish also
+    builds): block (i, i) is (f / 2) I and block (i, j) is
+    -(1/2) Q_i^T M_ij Q_j, M_ij being the all-but-two contraction at the
+    tuple. Returns H as a
     :class:`BlockQuadraticForm` with block sizes (m_i - 1). Near a strict
     local maximum the diagonal blocks are positive definite, :func:`analyze`
     applies, and its spectral radius is the local linear rate of als.
@@ -298,13 +302,6 @@ def hessian_form_at(t, u):
             q_mat = -q_mat
         bases.append(q_mat[:, 1:])  # orthonormal, orthogonal to x
 
-    arr, vecs = t.array, u.vectors
-    f = float(vecs[0] @ kernels.contract_all_but_one(arr, vecs, 0))
-    blocks = [[None] * len(bases) for _ in bases]
-    for i, q_i in enumerate(bases):
-        blocks[i][i] = 0.5 * f * np.eye(q_i.shape[1])
-        for j in range(i + 1, len(bases)):
-            m_ij = kernels.contract_all_but_two(arr, vecs, i, j)
-            blocks[i][j] = -0.5 * (q_i.T @ m_ij @ bases[j])
-            blocks[j][i] = blocks[i][j].T
-    return BlockQuadraticForm(np.block(blocks), [m - 1 for m in t.dims])
+    f = f_from_arrays(t.array, u.vectors)
+    h = tangent_hessian(t.array, u.vectors, bases, f)
+    return BlockQuadraticForm(h, [m - 1 for m in t.dims])

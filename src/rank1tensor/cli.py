@@ -54,6 +54,8 @@ def cmd_decompose(args):
     print(f"iterations {result.iterations}")
     print(f"opt_calls {result.optimization_calls}")
     print(f"converged_by {result.converged_by}")
+    if result.stationarity is not None:
+        print(f"stationarity {_fmt(result.stationarity)}")
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write("iteration,substep,modes,chosen,f_after,opt_calls\n")

@@ -149,6 +149,15 @@ class UnitTuple:
             raise DimensionError("a unit tuple needs at least one component")
         self.vectors = tuple(vecs)
 
+    @classmethod
+    def _adopt(cls, vectors):
+        """A tuple over ``vectors`` as they are: unit, 1-D, C-contiguous
+        float64 arrays that the caller made and no one else holds. Neither
+        copies nor checks them."""
+        u = object.__new__(cls)
+        u.vectors = tuple(vectors)
+        return u
+
     @property
     def dims(self):
         return tuple(v.size for v in self.vectors)
@@ -250,6 +259,43 @@ def contract_vectors_pair(t, u, keep_i, keep_j):
     if not 0 <= keep_i < keep_j < t.ndim:
         raise DimensionError(f"invalid kept mode pair ({keep_i}, {keep_j})")
     return kernels.contract_all_but_two(t.array, u.vectors, keep_i, keep_j)
+
+
+def tangent_basis(x):
+    """Orthonormal columns spanning the plane orthogonal to the unit vector
+    ``x``: the last m - 1 columns of the Householder reflector
+    I - w w^T / (1 + |x_0|), w = x + sign(x_0) e_1, which maps x to
+    -sign(x_0) e_1."""
+    w = x.copy()
+    w[0] += 1.0 if x[0] >= 0.0 else -1.0
+    q = np.outer(w, w[1:] / (-1.0 - abs(x[0])))
+    q[1:] += np.eye(x.size - 1)
+    return q
+
+
+def tangent_hessian(arr, vectors, bases, f):
+    """Minus half the Riemannian Hessian of the objective at a unit tuple.
+
+    The coordinates map theta_i to (x_i + Q_i theta_i) / |.|, Q_i being
+    ``bases[i]``: orthonormal columns orthogonal to x_i. Block (i, i) is
+    (f / 2) I, with ``f`` the objective at the tuple, and block (i, j) is
+    -(1/2) Q_i^T M_ij Q_j, M_ij being the all-but-two contraction of ``arr``
+    at ``vectors``. Returns a dense symmetric matrix whose blocks have the
+    bases' widths.
+    """
+    offsets = [0]
+    for q in bases:
+        offsets.append(offsets[-1] + q.shape[1])
+    h = np.zeros((offsets[-1], offsets[-1]))
+    np.fill_diagonal(h, 0.5 * f)
+    for i, q_i in enumerate(bases):
+        rows = slice(offsets[i], offsets[i + 1])
+        for j in range(i + 1, len(bases)):
+            cols = slice(offsets[j], offsets[j + 1])
+            m_ij = kernels.contract_all_but_two(arr, vectors, i, j)
+            h[rows, cols] = -0.5 * (q_i.T @ m_ij @ bases[j])
+            h[cols, rows] = h[rows, cols].T
+    return h
 
 
 def unfold(t, mode):

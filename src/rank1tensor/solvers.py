@@ -27,7 +27,19 @@ The pair steps take the top singular pair from
 depend on the current iterate.
 All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
-``max_iterations`` sweeps have run.
+``max_iterations`` sweeps have run. A fit-change stop places a tuple only
+about sqrt(fitchange_tol) from stationarity, and below sqrt(eps) a sweep's
+fit change says little about stationarity at all. So a tight solve, one
+whose target fitchange_tol^(3/4) |T| lies between eps |T| and the reach of
+the fit-change stop, also has a Newton finish on the product of spheres
+(Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre 2008, ch. 6): after a
+sweep whose fit change is below sqrt(eps), Newton steps run until the
+stationarity residual max_i |v_i - (x_i . v_i) x_i| is certified at or
+below that target, and the solve stops with ``converged_by`` "stationary".
+When a step is rejected the solve sweeps on, and tries again only once the
+fit change has halved. Every solve with fitchange_tol >= sqrt(eps), the
+default among them, stops on its fit change first and never reaches the
+finish.
 
 The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
 tensor whose sum of squares overflows or underflows is solved as
@@ -35,6 +47,7 @@ T / max|T| and its results are scaled back.
 """
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass
@@ -50,6 +63,8 @@ from .core import (
     f_value,
     residual_from,
     split_scale,
+    tangent_basis,
+    tangent_hessian,
     unfold,
 )
 from .errors import (
@@ -64,6 +79,11 @@ METHODS = ("als", "asvd", "mals", "masvd")
 
 #: a contraction below this norm is treated as an exact breakdown
 BREAKDOWN_NORM = 1e-300
+_EPS = float(np.finfo(np.float64).eps)
+#: the Newton finish may follow a sweep whose fit change is below this
+NEWTON_FIT_CHANGE = math.sqrt(_EPS)
+#: a Newton step may lower f by this much relative to |T| (rounding)
+NEWTON_F_SLACK = 4 * _EPS
 
 
 @dataclass
@@ -80,10 +100,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
-        if not self.fitchange_tol > 0:
-            raise InvalidInputError("fitchange_tol must be positive")
+        iterations = self.max_iterations
+        if not isinstance(iterations, numbers.Integral) or iterations < 1:
+            raise InvalidInputError(
+                f"max_iterations must be an integer >= 1, got {iterations!r}"
+            )
+        tol = self.fitchange_tol
+        if not (isinstance(tol, numbers.Real) and tol > 0):
+            raise InvalidInputError(
+                f"fitchange_tol must be a positive number, got {tol!r}"
+            )
         if self.init not in ("random", "hosvd"):
             raise InvalidInputError(f"unknown init {self.init!r}")
 
@@ -216,10 +242,13 @@ class Rank1Result:
     axes: UnitTuple
     fit: float
     residual: float
-    converged_by: str  # "fitchange" | "max_iterations"
+    converged_by: str  # "fitchange" | "stationary" | "max_iterations"
     iterations: int
     optimization_calls: int
     trace: SolverTrace
+    #: the stationarity residual / |T| that the Newton finish certified;
+    #: None unless converged_by is "stationary"
+    stationarity: Optional[float] = None
 
     def rank1(self):
         from .core import Rank1Tensor
@@ -237,7 +266,14 @@ def init_random(dims, seed=0, tensor=None, max_retries=100):
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 for m in dims):
         raise DimensionError(f"invalid dims {dims}")
-    return UnitTuple(_draw_unit_vectors(np.random.default_rng(seed), dims))
+    return UnitTuple(_draw_unit_vectors(_rng(seed), dims))
+
+
+def _rng(seed):
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"invalid seed {seed!r}: {exc}") from None
 
 
 def _draw_unit_vectors(rng, dims):
@@ -256,7 +292,7 @@ def _draw_unit_vectors(rng, dims):
 def _random_start(dims, seed, t, max_retries=100):
     # the first random unit vectors with a nonzero objective, and that
     # objective
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(max_retries):
         vecs = _draw_unit_vectors(rng, dims)
         f = f_from_arrays(t.array, vecs)
@@ -403,6 +439,81 @@ def _masvd_sweep(arr, vecs, trace):
     return f
 
 
+def _contractions(arr, vecs):
+    # every all-but-one contraction at the tuple, in one dimension-tree pass
+    out = [None] * len(vecs)
+
+    def record(i, v):
+        out[i] = v
+
+    kernels.contract_each(arr, vecs, range(len(vecs)), record)
+    return out
+
+
+def _f_and_stationarity(vecs, contractions):
+    # f and max_i |v_i - (x_i . v_i) x_i|, the difference formed directly:
+    # sqrt(|v_i|^2 - (x_i . v_i)^2) cancels below about 1e-8
+    s = 0.0
+    for x, v in zip(vecs, contractions):
+        f = float(np.dot(x, v))
+        r = v - f * x
+        s = max(s, math.sqrt(np.dot(r, r)))
+    return f, s
+
+
+def _newton_step(arr, vecs, contractions, f):
+    # one Newton step from the tuple whose contractions and objective are
+    # given: (new vectors, their contractions), or None when H is not
+    # positive definite
+    bases = [tangent_basis(x) for x in vecs]
+    h = tangent_hessian(arr, vecs, bases, f)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    g = np.concatenate([q.T @ v for q, v in zip(bases, contractions)])
+    theta = 0.5 * np.linalg.solve(h, g)
+    new, start = [], 0
+    for x, q in zip(vecs, bases):
+        y = x + q @ theta[start : start + q.shape[1]]
+        start += q.shape[1]
+        new.append(y / math.sqrt(np.dot(y, y)))
+    return new, _contractions(arr, new)
+
+
+def _newton_finish(arr, vecs, trace, target, slack):
+    """Newton steps from ``vecs`` until the stationarity residual is at most
+    ``target``; returns that residual, or None once a step is rejected.
+
+    A step solves H theta = g / 2, with H from :func:`core.tangent_hessian`
+    at Householder bases Q_i and g the stacked Q_i^T v_i, and retracts each
+    x_i + Q_i theta_i to its sphere. It is rejected when H is not positive
+    definite (the Hessian is not negative definite), or when at the new
+    tuple f falls by more than ``slack`` or the residual does not fall. An
+    accepted step replaces ``vecs`` and is recorded as one sub-step over all
+    modes; a rejected one leaves both unchanged. Each contraction counts as
+    an optimization call: d per gradient pass, d(d - 1)/2 per Hessian.
+    """
+    d = len(vecs)
+    contractions = _contractions(arr, vecs)
+    trace._calls += d
+    f, s = _f_and_stationarity(vecs, contractions)
+    while s > target:
+        step = _newton_step(arr, vecs, contractions, f)
+        trace._calls += d * (d - 1) // 2
+        if step is None:
+            return None
+        trace._calls += d
+        new, new_contractions = step
+        f_new, s_new = _f_and_stationarity(new, new_contractions)
+        if f_new < f - slack or not s_new < s:
+            return None
+        vecs[:] = new
+        trace._record(f_new, tuple(range(d)))
+        f, s, contractions = f_new, s_new, new_contractions
+    return s
+
+
 def _check_method_dims(method, d):
     if method in ("asvd", "masvd") and d < 3:
         raise UnsupportedError(f"{method} needs at least 3 modes, got {d}")
@@ -478,6 +589,15 @@ def solve(t, cfg=None, initial=None):
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
 
+    # the Newton finish's target; None where the fit-change stop comes
+    # first or the target is below rounding
+    target = cfg.fitchange_tol**0.75
+    if _EPS < target and cfg.fitchange_tol < NEWTON_FIT_CHANGE:
+        target *= nrm
+    else:
+        target = None
+    retry_below = NEWTON_FIT_CHANGE
+    stationarity = None
     fit_prev = f_current / nrm
     converged_by = "max_iterations"
     for _ in range(cfg.max_iterations):
@@ -490,10 +610,19 @@ def solve(t, cfg=None, initial=None):
             f_after = _mals_sweep(arr, vecs, trace)
         else:
             f_after = _masvd_sweep(arr, vecs, trace)
-        trace._end_sweep(time.perf_counter() - started)
         fit = f_after / nrm
-        if abs(fit - fit_prev) < cfg.fitchange_tol:
+        change = abs(fit - fit_prev)
+        if change < cfg.fitchange_tol:
             converged_by = "fitchange"
+        elif target is not None and change < retry_below:
+            s = _newton_finish(arr, vecs, trace, target, NEWTON_F_SLACK * nrm)
+            if s is None:
+                retry_below = change / 2
+            else:
+                converged_by, stationarity = "stationary", s / nrm
+            fit = trace.f_after[-1] / nrm
+        trace._end_sweep(time.perf_counter() - started)
+        if converged_by != "max_iterations":
             break
         fit_prev = fit
 
@@ -501,7 +630,7 @@ def solve(t, cfg=None, initial=None):
     if lam < 0.0:  # flip one axis; the objective is odd in each vector
         vecs[0] = -vecs[0]
         lam = -lam
-    axes = UnitTuple(vecs)
+    axes = UnitTuple._adopt(vecs)
     residual = residual_from(nrm2, lam)
     if scale != 1.0:
         _rescale_trace(trace, scale)
@@ -514,6 +643,7 @@ def solve(t, cfg=None, initial=None):
         iterations=len(trace.sweep_ends),
         optimization_calls=trace.total_opt_calls,
         trace=trace,
+        stationarity=stationarity,
     )
 
 

@@ -220,18 +220,15 @@ def test_criterion_06_semi_maximality_of_modified_methods(semi_runs):
 
 
 def test_criterion_07_fixed_point_round_trip(semi_runs):
-    # NOTE: expected to fail as specified. The tuples from criterion 6 stop
-    # when the fit changes by less than 1e-12, and a fit-change stop does not
-    # certify stationarity: f is flat to second order at a maximum, so the
-    # stop localizes a tuple only to about sqrt(1e-12) = 1e-6, with a floor
-    # near sqrt(eps) once the fit change rounds to zero. Their
-    # |F(v) - v| / |v| reaches ~6e-7, above the 1e-8 bound demanded here, and
-    # no fit-change tolerance brings every run below it. The correspondence
-    # itself is exact (|F(v) - v| / |v| = |e| / (lambda sqrt(d)), with e the
-    # stacked stationarity residuals; see test_diagnostics.py) and the round
-    # trip v -> (x, lambda) below passes. A stop that checks stationarity
-    # would mend this: sweeping on past the fit-change stop brings all 40
-    # runs below 1e-9.
+    # The tuples come from criterion 6's runs at a fit change of 1e-12. A
+    # fit-change stop alone localizes a tuple only to about sqrt(1e-12) =
+    # 1e-6 (f is flat to second order at a maximum), which left
+    # |F(v) - v| / |v| near 6e-7. Below a fit change of sqrt(eps) solve
+    # also runs its Newton finish, which stops only once the stationarity
+    # residual is certified at or below 1e-12^(3/4) |T| = 1e-9 |T|. Since
+    # |F(v) - v| / |v| = |e| / (lambda sqrt(d)), with e the stacked
+    # stationarity residuals (see test_diagnostics.py), that certificate is
+    # what brings the round trip below the 1e-8 bound demanded here.
     worst_residual = 0.0
     worst_axes = 0.0
     worst_lambda = 0.0

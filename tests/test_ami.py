@@ -359,13 +359,14 @@ def block_diag(blocks):
 
 def als_tail(dims, seed):
     """(t, tuples, errors) for a Gaussian tensor and a random start, both
-    from ``seed``: als to a fit change of 1e-15, then 200 more sweeps; the
-    last tuple is x* and errors[k] = |x_k - x*|."""
+    from ``seed``: as many als sweeps as a solve at a fit change of 1e-15
+    takes (it stops on that fit change or on certified stationarity), then
+    200 more; the last tuple is x* and errors[k] = |x_k - x*|."""
     t = Tensor(np.random.default_rng(seed).standard_normal(dims))
     u0 = init_random(dims, seed=seed, tensor=t)
     cfg = SolverConfig(max_iterations=100_000, fitchange_tol=1e-15)
     result = solve(t, cfg, initial=u0)
-    assert result.converged_by == "fitchange"
+    assert result.converged_by in ("fitchange", "stationary")
     tuples = [u0]
     for _ in range(result.iterations + 200):
         tuples.append(als_sweep(t, tuples[-1]))

@@ -42,6 +42,17 @@ class TestDecompose:
         assert float(report["lambda"]) == pytest.approx(7.0, rel=1e-8)
         assert report["converged_by"] == "fitchange"
 
+    def test_stationarity_line_only_when_certified(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        io.write_tensor_text(random_tensor((5, 4, 6), 7), path)
+        args = ["decompose", "--input", str(path), "--method", "asvd"]
+        assert cli.main(args) == 0
+        assert "stationarity" not in parse_report(capsys.readouterr().out)
+        assert cli.main(args + ["--tol", "1e-12", "--max-iters", "2000"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["converged_by"] == "stationary"
+        assert 0.0 <= float(report["stationarity"]) <= 1e-9
+
     def test_malformed_dims_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("3\n2 x 2\n1 2 3 4 5 6 7 8\n")

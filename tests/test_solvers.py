@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,20 @@ import pytest
 from rank1tensor import (
     BreakdownError,
     DegenerateInputError,
+    InvalidInputError,
     Rank1Tensor,
     Tensor,
     UnitTuple,
     UnsupportedError,
     f_value,
 )
-from rank1tensor.core import contract_vectors, contract_vectors_pair
-from rank1tensor import cli, kernels, linalg
+from rank1tensor.core import (
+    contract_vectors,
+    contract_vectors_pair,
+    tangent_basis,
+    tangent_hessian,
+)
+from rank1tensor import cli, kernels, linalg, solvers
 from rank1tensor.diagnostics import check_semi_max
 from rank1tensor.linalg import top_singular_triple
 from rank1tensor.solvers import (
@@ -770,3 +777,209 @@ class TestColumnarTrace:
         capsys.readouterr()
         expected = ["iteration,substep,modes,chosen,f_after,opt_calls", *TRACE_CSV_ROWS[method]]
         assert out.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+
+
+def stationarity(t, u):
+    """max_i |v_i - (x_i . v_i) x_i| / |T|, contracted with np.tensordot."""
+    worst = 0.0
+    for i, x in enumerate(u.vectors):
+        v = t.array
+        for mode in range(t.ndim - 1, -1, -1):
+            if mode != i:
+                v = np.tensordot(v, u.vectors[mode], axes=([mode], [0]))
+        worst = max(worst, float(np.linalg.norm(v - np.dot(x, v) * x)))
+    return worst / t.norm()
+
+
+def default_solves_digest():
+    """SHA-256 of lambda, iterations, opt_calls, stop label, axes and trace of
+    default and fit-change-1e-6 solves of all methods on small tensors."""
+    digest = hashlib.sha256()
+    for dims in [(4, 4, 4), (8, 8, 8), (3, 4, 5), (8, 8, 8, 8), (5, 6)]:
+        methods = {2: ("als",), 3: ("als", "asvd", "mals", "masvd"), 4: ("als", "asvd", "mals")}
+        for k in range(3):
+            t = Tensor(np.random.default_rng([80, k, *dims]).standard_normal(dims))
+            for method in methods[len(dims)]:
+                for cfg in (
+                    SolverConfig(method=method, seed=k),
+                    SolverConfig(method=method, seed=k, fitchange_tol=1e-6, max_iterations=200),
+                ):
+                    r = solve(t, cfg)
+                    digest.update(np.float64(r.lambda_).tobytes())
+                    digest.update(f"{r.iterations} {r.optimization_calls} {r.converged_by}".encode())
+                    digest.update(np.concatenate(r.axes.vectors).tobytes())
+                    digest.update(np.array(list(r.trace.f_sequence())).tobytes())
+                    digest.update(repr(r.trace.steps).encode() + r.trace.candidates.tobytes())
+    return digest.hexdigest()
+
+
+#: default_solves_digest() of the sweep loop before the Newton finish existed
+DEFAULT_SOLVES_DIGEST = "0c093579382713e037bb73e9edda182b4c4f5029f9834338e134e548a1f19cb0"
+
+TIGHT = dict(fitchange_tol=1e-12, max_iterations=2000)
+
+
+class TestNewtonFinish:
+    @pytest.mark.parametrize(
+        "method, dims",
+        [(m, (6, 5, 4)) for m in ("als", "asvd", "mals", "masvd")]
+        + [(m, (4, 3, 5, 3)) for m in ("als", "asvd", "mals")]
+        + [("als", (7, 5))],
+    )
+    def test_tight_solve_certifies_stationarity(self, method, dims):
+        for seed in range(3):
+            t = random_tensor(dims, 90 + seed)
+            result = solve(t, SolverConfig(method=method, seed=seed, **TIGHT))
+            assert result.converged_by == "stationary"
+            measured = stationarity(t, result.axes)
+            assert measured <= 1e-12**0.75
+            assert result.stationarity == pytest.approx(measured, rel=1e-3, abs=1e-14)
+
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    def test_accepted_steps_keep_the_trace_monotone(self, method):
+        t = random_tensor((8, 8, 8), 93)
+        result = solve(t, SolverConfig(method=method, seed=94, **TIGHT))
+        steps = [s for r in result.trace.iterations for s in r.substeps if s.modes == (0, 1, 2)]
+        assert steps, "the finish took no step"
+        assert all(s.chosen is None and s.candidates is None for s in steps)
+        assert monotone(result.trace, t.norm())
+        # the accepted steps sit inside the last sweep, which iterations counts
+        last = result.trace.iterations[-1]
+        assert last.index == result.iterations and last.substeps[-1].modes == (0, 1, 2)
+        assert last.f_after == pytest.approx(result.lambda_, rel=1e-14)
+
+    def test_rejection_at_a_minimum_leaves_tuple_and_trace(self):
+        # flipping one axis of a local maximum gives a local minimum, where
+        # the Hessian is positive definite and H is not
+        t = random_tensor((5, 4, 6), 95)
+        top = solve(t, SolverConfig(method="asvd", seed=96, **TIGHT))
+        vecs = [-top.axes.vectors[0], *top.axes.vectors[1:]]
+        before = [v.copy() for v in vecs]
+        trace = solvers.SolverTrace(1.0)
+        trace._record(2.0, (0,))
+        trace._end_sweep(0.0)
+        f_before, steps_before, calls = list(trace.f_sequence()), list(trace.steps), trace._calls
+        assert solvers._newton_finish(t.array, vecs, trace, 0.0, 0.0) is None
+        assert all(np.array_equal(a, b) for a, b in zip(vecs, before))
+        assert list(trace.f_sequence()) == f_before and trace.steps == steps_before
+        # the attempt still counts its contractions: d, then d(d - 1)/2
+        assert trace._calls == calls + 3 + 3
+
+    def test_rejected_attempts_change_only_opt_calls(self, monkeypatch):
+        t = random_tensor((6, 6, 6), 97)
+        cfg = SolverConfig(method="als", seed=98, **TIGHT)
+        monkeypatch.setattr(solvers, "NEWTON_FIT_CHANGE", 0.0)
+        sweeps_only = solve(t, cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(solvers, "_newton_step", lambda *args: None)
+        rejected = solve(t, cfg)
+        assert rejected.converged_by == sweeps_only.converged_by == "fitchange"
+        assert rejected.stationarity is None
+        assert rejected.iterations == sweeps_only.iterations
+        assert rejected.lambda_ == sweeps_only.lambda_
+        assert list(rejected.trace.f_sequence()) == list(sweeps_only.trace.f_sequence())
+        assert all(np.array_equal(a, b) for a, b in zip(rejected.axes, sweeps_only.axes))
+        # each attempt costs d + d(d - 1)/2 calls; retries wait for the fit
+        # change to halve, so there are few of them
+        extra = rejected.optimization_calls - sweeps_only.optimization_calls
+        assert extra > 0 and extra % 6 == 0 and extra // 6 < sweeps_only.iterations
+
+    @pytest.mark.parametrize("tol", [1e-4, solvers.NEWTON_FIT_CHANGE, 1e-6, 1e-300])
+    def test_finish_never_runs_outside_its_range(self, tol, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the Newton finish ran")
+
+        monkeypatch.setattr(solvers, "_newton_finish", forbidden)
+        t = random_tensor((6, 5, 4), 99)
+        for method in ("als", "asvd", "mals", "masvd"):
+            result = solve(t, SolverConfig(method=method, fitchange_tol=tol, max_iterations=300))
+            assert result.stationarity is None
+            assert result.converged_by in ("fitchange", "max_iterations")
+
+    def test_default_solves_bit_identical_to_sweep_loop(self):
+        assert default_solves_digest() == DEFAULT_SOLVES_DIGEST
+
+    def test_matrix_case_takes_exact_newton_steps(self):
+        a = np.random.default_rng(100).standard_normal((6, 4))
+        result = solve(Tensor(a), SolverConfig(method="als", seed=101, **TIGHT))
+        assert result.converged_by == "stationary"
+        assert result.lambda_ == pytest.approx(oracles.top_sigma(a), rel=1e-13)
+
+
+class TestTangentCoordinates:
+    @pytest.mark.parametrize("x0", [0.8, -0.8, 0.0, 1.0, -1.0])
+    def test_householder_basis_is_orthonormal_complement(self, x0):
+        rest = np.random.default_rng(102).standard_normal(4)
+        x = np.concatenate([[x0], np.sqrt(1.0 - x0 * x0) * rest / np.linalg.norm(rest)])
+        q = tangent_basis(x)
+        assert q.shape == (5, 4)
+        assert np.allclose(q.T @ q, np.eye(4), atol=1e-15)
+        assert np.allclose(x @ q, 0.0, atol=1e-15)
+
+    def test_single_entry_mode_has_no_tangent_directions(self):
+        assert tangent_basis(np.array([-1.0])).shape == (1, 0)
+
+    def test_hessian_changes_with_the_bases_as_a_congruence(self):
+        # the finish's Householder coordinates and hessian_form_at's QR ones
+        # give congruent H: D^T H_qr D with D = blockdiag(Q_qr^T Q_hh)
+        t = random_tensor((5, 4, 3), 103)
+        u = random_tuple((5, 4, 3), 104)
+        f = f_value(t, u)
+        qr = oracles.tangent_bases(u.vectors)
+        hh = [tangent_basis(x) for x in u.vectors]
+        d = np.zeros((9, 9))
+        start = 0
+        for a, b in zip(qr, hh):
+            d[start : start + a.shape[1], start : start + a.shape[1]] = a.T @ b
+            start += a.shape[1]
+        h_qr = tangent_hessian(t.array, u.vectors, qr, f)
+        h_hh = tangent_hessian(t.array, u.vectors, hh, f)
+        assert np.allclose(h_hh, d.T @ h_qr @ d, atol=1e-13 * np.max(np.abs(h_qr)))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iterations": 2.5},
+            {"max_iterations": "3"},
+            {"max_iterations": 0},
+            {"fitchange_tol": "1e-4"},
+            {"fitchange_tol": float("nan")},
+            {"fitchange_tol": 0.0},
+        ],
+    )
+    def test_bad_numbers_are_input_errors(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SolverConfig(max_iterations=np.int64(3), fitchange_tol=np.float64(1e-3))
+        assert solve(random_tensor((3, 3, 3), 105), cfg).iterations <= 3
+
+    @pytest.mark.parametrize("seed", [-1, "abc", 2.5])
+    def test_bad_seed_is_input_error(self, seed):
+        t = random_tensor((3, 3, 3), 106)
+        with pytest.raises(InvalidInputError):
+            solve(t, SolverConfig(seed=seed))
+        with pytest.raises(InvalidInputError):
+            init_random((3, 3), seed=seed)
+
+    def test_bad_seed_on_the_cli_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("3\n2 2 2\n1 2 3 4 5 6 7 8\n")
+        assert cli.main(["decompose", "--input", str(path), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+
+class TestResultAxes:
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_axes_are_owned_unit_vectors(self, method, scale):
+        t = Tensor(scale * random_tensor((4, 5, 3), 107).array)
+        u = random_tuple((4, 5, 3), 108)
+        result = solve(t, SolverConfig(method=method), initial=u)
+        for x, x0 in zip(result.axes.vectors, u.vectors):
+            assert x.dtype == np.float64 and x.ndim == 1 and x.flags.c_contiguous
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            assert not np.shares_memory(x, x0)

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -140,3 +141,23 @@ def test_peak_rss_read_against_items_attempted():
     assert perf_ab.rss_line("w", {"peak_rss_mb": rss}).endswith("equal item counts")
     # no RSS metric, no line
     assert perf_ab.rss_line("w", perf_ab.summarize(runs_from("parent", [(1, 1)]), BETTER)) is None
+
+
+def test_step_timings_cover_sweeps_and_the_newton_step():
+    rows = perf_ab.step_timings(repeats=1, seconds=0.0)
+    assert [(r["dims"], r["step"]) for r in rows] == [
+        (dims, step)
+        for dims in ("8x8x8", "32x32x32")
+        for step in ("asvd_sweep", "masvd_sweep", "newton_step")
+    ]
+    assert all(r["us_per_call"] > 0.0 for r in rows)
+
+
+def test_best_us_takes_the_fastest_batch():
+    delays = iter([0.0, 0.02, 0.001, 0.01])
+
+    def call():
+        time.sleep(next(delays))
+
+    # one untimed call, then three batches of one call each
+    assert 900.0 <= perf_ab.best_us(call, repeats=3, seconds=0.0) < 10_000.0

@@ -29,6 +29,11 @@ run completes. It is rewritten after every run, so an
 interrupted command keeps what it measured. It also records the ratio of CPU time to wall time of BLAS matrix-vector
 reductions at several sizes, under the BLAS thread count perfbench pins: a
 ratio near 1 means BLAS ran on one thread.
+
+Per side it also times the update-step layer, under the same thread count,
+with the package of that side's tree: the best-of-N microseconds of one
+asvd sweep, one masvd sweep and, where the side has it, one step of the
+solver's Newton finish, at 8^3 and 32^3 (``update_steps`` in the output).
 """
 
 import argparse
@@ -49,6 +54,11 @@ PROBE_SIZES = (2**12, 2**15, 2**17, 2**18, 2**19)
 #: the reduced mode's length in the probe
 PROBE_MODE = 32
 PROBE_SECONDS = 0.3
+#: shapes of the Gaussian tensors at which the update steps are timed
+STEP_DIMS = ((8, 8, 8), (32, 32, 32))
+#: the best of this many timed batches, each of at least STEP_SECONDS
+STEP_REPEATS = 7
+STEP_SECONDS = 0.05
 
 
 def parse_seeds(text):
@@ -246,11 +256,79 @@ def _probe_reductions():
     print(json.dumps(rows))
 
 
-def blas_probe():
+def best_us(call, repeats, seconds):
+    """Best-of-``repeats`` microseconds per call, each batch running
+    ``call`` for at least ``seconds``."""
+    call()
+    best = float("inf")
+    for _ in range(repeats):
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            call()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= seconds:
+                break
+        best = min(best, elapsed / calls)
+    return 1e6 * best
+
+
+def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
+    """Rows of best-of-N µs per call of the update steps of the importable
+    ``rank1tensor``, at the tuple of an asvd solve to a fit change of 1e-6
+    of a Gaussian tensor of each shape in STEP_DIMS: ``asvd_sweep``,
+    ``masvd_sweep`` and ``newton_step``, the last only where ``solvers``
+    has ``_newton_step``."""
+    import numpy as np
+    from rank1tensor import SolverConfig, Tensor, solve, solvers
+
+    rows = []
+    for dims in STEP_DIMS:
+        t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
+        cfg = SolverConfig(method="asvd", seed=0, fitchange_tol=1e-6, max_iterations=2000)
+        u = solve(t, cfg).axes
+        calls = {
+            "asvd_sweep": lambda: solvers.asvd_sweep(t, u),
+            "masvd_sweep": lambda: solvers.masvd_sweep(t, u),
+        }
+        if hasattr(solvers, "_newton_step"):
+            vecs = list(u.vectors)
+            contractions = solvers._contractions(t.array, vecs)
+            f, _ = solvers._f_and_stationarity(vecs, contractions)
+            calls["newton_step"] = lambda: solvers._newton_step(t.array, vecs, contractions, f)
+        for step, call in calls.items():
+            rows.append({
+                "dims": "x".join(map(str, dims)), "step": step,
+                "us_per_call": best_us(call, repeats, seconds),
+            })
+    return rows
+
+
+def _blas_env():
+    # perfbench's pinning: one BLAS thread per core
     threads = str(len(os.sched_getaffinity(0)))
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = threads
+    return threads, env
+
+
+def update_steps(tree):
+    """:func:`step_timings` in a child that imports the package from
+    ``tree``/src, with the BLAS thread count pinned as perfbench pins it."""
+    threads, env = _blas_env()
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, perf_ab; print(json.dumps(perf_ab.step_timings()))"],
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def blas_probe():
+    threads, env = _blas_env()
     out = subprocess.run(
         [sys.executable, "-c", "import perf_ab; perf_ab._probe_reductions()"],
         cwd=os.path.dirname(os.path.abspath(__file__)),
@@ -291,6 +369,13 @@ def main(argv=None):
         "command": ["python3", "tools/perf_ab.py", *(argv if argv is not None else sys.argv[1:])],
         "machine": None,
         "blas_probe": blas_probe(),
+        "update_steps": {
+            "description": (
+                f"best of {STEP_REPEATS} batches of at least {STEP_SECONDS} s, µs per call, "
+                "of one asvd sweep, one masvd sweep and one Newton finish step, at the "
+                "tuple of an asvd solve to a fit change of 1e-6 of a Gaussian tensor"
+            ),
+        },
         "workloads": {},
         "traced": {},
     }
@@ -306,6 +391,7 @@ def main(argv=None):
             trees[side] = os.path.join(tmp, side)
             os.mkdir(trees[side])
             result[side] = materialize(rev, trees[side])
+            result["update_steps"][side] = update_steps(trees[side])
         save()
         pair = 0
         for workload, seeds in args.workload:
