@@ -589,13 +589,10 @@ def solve(t, cfg=None, initial=None):
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
 
-    # the Newton finish's target; None where the fit-change stop comes
-    # first or the target is below rounding
+    # the Newton finish's target, None below rounding; with fitchange_tol
+    # >= NEWTON_FIT_CHANGE the fit-change stop always comes first
     target = cfg.fitchange_tol**0.75
-    if _EPS < target and cfg.fitchange_tol < NEWTON_FIT_CHANGE:
-        target *= nrm
-    else:
-        target = None
+    target = target * nrm if target > _EPS else None
     retry_below = NEWTON_FIT_CHANGE
     stationarity = None
     fit_prev = f_current / nrm

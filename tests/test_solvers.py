@@ -865,6 +865,31 @@ class TestNewtonFinish:
         # the attempt still counts its contractions: d, then d(d - 1)/2
         assert trace._calls == calls + 3 + 3
 
+    @pytest.mark.parametrize("proposal", ["lower_f", "same_residual"])
+    def test_step_rejected_unless_f_holds_and_residual_falls(self, proposal, monkeypatch):
+        # T = 3 e0(x)e0(x)e0 + e1(x)e1(x)e1: near the maximum at e0, a step
+        # to the critical point at e1 lowers the residual to 0 and f to 1;
+        # a step that stays put keeps the residual
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0], arr[1, 1, 1] = 3.0, 1.0
+        x = np.array([np.cos(0.1), np.sin(0.1)])
+        vecs = [x, x.copy(), x.copy()]
+        e1 = np.array([0.0, 1.0])
+        proposals = []
+
+        def step(arr, vecs, contractions, f):
+            proposals.append(f)
+            if len(proposals) > 3:
+                return None
+            new = [e1, e1.copy(), e1.copy()] if proposal == "lower_f" else [v.copy() for v in vecs]
+            return new, solvers._contractions(arr, new)
+
+        monkeypatch.setattr(solvers, "_newton_step", step)
+        trace = solvers.SolverTrace(1.0)
+        assert solvers._newton_finish(arr, vecs, trace, 0.0, 4 * np.finfo(float).eps * 10.0) is None
+        assert len(proposals) == 1 and len(trace.f_after) == 0
+        assert all(np.array_equal(v, x) for v in vecs)
+
     def test_rejected_attempts_change_only_opt_calls(self, monkeypatch):
         t = random_tensor((6, 6, 6), 97)
         cfg = SolverConfig(method="als", seed=98, **TIGHT)
@@ -883,6 +908,34 @@ class TestNewtonFinish:
         # change to halve, so there are few of them
         extra = rejected.optimization_calls - sweeps_only.optimization_calls
         assert extra > 0 and extra % 6 == 0 and extra // 6 < sweeps_only.iterations
+
+    def test_retry_waits_for_the_fit_change_to_halve(self, monkeypatch):
+        # als on a matrix is the power method, here with a slow rate of
+        # (0.95)^2 per sweep, so the fit change shrinks by less than half
+        rng = np.random.default_rng(109)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 5)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        t = Tensor(u @ np.diag([1.0, 0.95, 0.5, 0.3, 0.1]) @ v.T)
+        nrm = t.norm()
+        attempts = []
+
+        def reject(arr, vecs, trace, target, slack):
+            ended = trace.sweep_ends
+            f_prev = trace.f_after[ended[-1] - 1] if ended else trace.f_initial
+            attempts.append(abs(trace.f_after[-1] - f_prev) / nrm)
+            return None
+
+        monkeypatch.setattr(solvers, "_newton_finish", reject)
+        result = solve(t, SolverConfig(method="als", seed=110, **TIGHT))
+        assert result.converged_by == "fitchange"
+        fs = [result.trace.f_initial, *(r.f_after for r in result.trace.iterations)]
+        eligible = [
+            abs(b - a) / nrm for a, b in zip(fs, fs[1:])
+            if 1e-12 <= abs(b - a) / nrm < solvers.NEWTON_FIT_CHANGE
+        ]
+        assert 2 <= len(attempts) < len(eligible)
+        assert attempts[0] == eligible[0]
+        assert all(b < a / 2 for a, b in zip(attempts, attempts[1:]))
 
     @pytest.mark.parametrize("tol", [1e-4, solvers.NEWTON_FIT_CHANGE, 1e-6, 1e-300])
     def test_finish_never_runs_outside_its_range(self, tol, monkeypatch):
