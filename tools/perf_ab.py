@@ -321,7 +321,7 @@ def _blas_env():
 def update_steps(tree):
     """:func:`step_timings` in a child that imports the package from
     ``tree``/src, with the BLAS thread count pinned as perfbench pins it."""
-    threads, env = _blas_env()
+    _, env = _blas_env()
     env["PYTHONPATH"] = os.path.join(tree, "src")
     out = subprocess.run(
         [sys.executable, "-c", "import json, perf_ab; print(json.dumps(perf_ab.step_timings()))"],
@@ -375,11 +375,11 @@ def main(argv=None):
         "blas_probe": blas_probe(),
         "update_steps": {
             "description": (
-                f"best of {STEP_ROUNDS} turns per side, alternating which side goes first, "
-                f"each the best of "
-                f"{STEP_REPEATS} batches of at least {STEP_SECONDS} s, µs per call, of one "
-                "asvd sweep, one masvd sweep and one Newton finish step, at the tuple of "
-                "an asvd solve to a fit change of 1e-6 of a Gaussian tensor"
+                f"best of {STEP_ROUNDS} turns per side, alternating which side goes "
+                f"first, each the best of {STEP_REPEATS} batches of at least "
+                f"{STEP_SECONDS} s, µs per call, of one asvd sweep, one masvd sweep and "
+                "one Newton finish step, at the tuple of an asvd solve to a fit change "
+                "of 1e-6 of a Gaussian tensor"
             ),
         },
         "workloads": {},
