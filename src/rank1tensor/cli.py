@@ -34,6 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _sizes(text):
+    # "4,8,16" -> [4, 8, 16]; empty items are skipped
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _fmt(value):
     return f"{value:.12g}"
 
@@ -106,13 +116,12 @@ def cmd_verify(args):
 def cmd_bench(args):
     from . import bench as bench_mod
 
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     kinds = [k.strip() for k in args.datasets.split(",") if k.strip()]
     specs = [
         bench_mod.DatasetSpec(kind=kind, dims=(n,) * 3, seed=args.seed)
         for kind in kinds
-        for n in sizes
+        for n in args.sizes
     ]
     rows, _ = bench_mod.run_bench(specs, methods, runs=args.runs, out_csv=args.out)
     print(
@@ -179,7 +188,11 @@ def build_parser():
     p.add_argument("--init", default="random", choices=("random", "hosvd"))
     p.add_argument("--max-iters", type=int, default=10, help="sweep cap (default 10)")
     p.add_argument(
-        "--tol", type=float, default=1e-4, help="fit-change stop (default 1e-4)"
+        "--tol",
+        type=float,
+        default=1e-4,
+        help="fit-change stop (default 1e-4); below 1e-6 the solve may also stop "
+        "on a certified stationarity of at most tol^(3/4)|T|",
     )
     p.add_argument("--trace", default=None, help="write per-sub-step CSV here")
     p.set_defaults(func=cmd_decompose)
@@ -194,7 +207,9 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timing/quality harness, writes CSV")
-    p.add_argument("--sizes", default="4,8,16", help="cubic sizes (default 4,8,16)")
+    p.add_argument(
+        "--sizes", type=_sizes, default="4,8,16", help="cubic sizes (default 4,8,16)"
+    )
     p.add_argument(
         "--datasets",
         default="random_uniform",

@@ -28,18 +28,20 @@ depend on the current iterate.
 All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
 ``max_iterations`` sweeps have run. A fit-change stop places a tuple only
-about sqrt(fitchange_tol) from stationarity, and below sqrt(eps) a sweep's
-fit change says little about stationarity at all. So a tight solve, one
-whose target fitchange_tol^(3/4) |T| lies between eps |T| and the reach of
-the fit-change stop, also has a Newton finish on the product of spheres
-(Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre 2008, ch. 6): after a
-sweep whose fit change is below sqrt(eps), Newton steps run until the
-stationarity residual max_i |v_i - (x_i . v_i) x_i| is certified at or
-below that target, and the solve stops with ``converged_by`` "stationary".
-When a step is rejected the solve sweeps on, and tries again only once the
-fit change has halved. Every solve with fitchange_tol >= sqrt(eps), the
-default among them, stops on its fit change first and never reaches the
-finish.
+about sqrt(fitchange_tol) from stationarity, and the alternating methods
+close the rest of the way only linearly. So a tight solve, one whose target
+fitchange_tol^(3/4) |T| lies above eps |T| and whose fitchange_tol lies below
+``NEWTON_FIT_CHANGE`` = 1e-6, also has a Newton finish on the product of
+spheres (Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre 2008, ch. 6):
+after a sweep whose fit change is below 1e-6 (a tuple then lies about
+1e-3 |T| from stationarity, where Newton needs two or three steps), Newton
+steps run until the stationarity residual max_i |v_i - (x_i . v_i) x_i| is
+certified at or below that target, and the solve stops with
+``converged_by`` "stationary". When a step is rejected the solve sweeps on,
+and tries again only once the fit change has halved. Every solve with
+fitchange_tol >= 1e-6, the default among them, stops on its fit change
+first, never reaches the finish, and is the same bit for bit as a solve
+without it.
 
 The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
 tensor whose sum of squares overflows or underflows is solved as
@@ -80,8 +82,10 @@ METHODS = ("als", "asvd", "mals", "masvd")
 #: a contraction below this norm is treated as an exact breakdown
 BREAKDOWN_NORM = 1e-300
 _EPS = float(np.finfo(np.float64).eps)
-#: the Newton finish may follow a sweep whose fit change is below this
-NEWTON_FIT_CHANGE = math.sqrt(_EPS)
+#: the Newton finish may follow a sweep whose fit change is below this; the
+#: largest value at which every solve with fitchange_tol >= it stops on its
+#: fit change first and is unchanged bit for bit
+NEWTON_FIT_CHANGE = 1e-6
 #: a Newton step may lower f by this much relative to |T| (rounding)
 NEWTON_F_SLACK = 4 * _EPS
 
@@ -589,8 +593,10 @@ def solve(t, cfg=None, initial=None):
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
 
-    # the Newton finish's target, None below rounding; with fitchange_tol
-    # >= NEWTON_FIT_CHANGE the fit-change stop always comes first
+    # the Newton finish's target, None below rounding; it may run after a
+    # sweep whose fit change is below NEWTON_FIT_CHANGE, and with
+    # fitchange_tol >= NEWTON_FIT_CHANGE the fit-change stop always comes
+    # first, so those solves are unchanged bit for bit
     target = cfg.fitchange_tol**0.75
     target = target * nrm if target > _EPS else None
     retry_below = NEWTON_FIT_CHANGE

@@ -266,6 +266,16 @@ class TestBench:
         ]
         assert strip(a.read_text()) == strip(b.read_text())
 
+    @pytest.mark.parametrize("sizes", ["abc", "4,x", "4.5"])
+    def test_non_integer_sizes_are_input_errors(self, sizes, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--sizes", sizes, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--sizes" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_parallel_flag_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         with pytest.raises(SystemExit) as exc:

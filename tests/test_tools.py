@@ -161,3 +161,42 @@ def test_best_us_takes_the_fastest_batch():
 
     # one untimed call, then three batches of one call each
     assert 900.0 <= perf_ab.best_us(call, repeats=3, seconds=0.0) < 10_000.0
+
+
+def test_tight_counts_cover_the_tight_cells():
+    rows = perf_ab.tight_counts(solves=2)
+    assert [(r["dims"], r["method"]) for r in rows] == [
+        ("32x32x32", "asvd"), ("8x8x8", "asvd"), ("8x8x8", "masvd")
+    ]
+    for row in rows:
+        assert row["solves"] == 2 and row["stationary"] == 2 and len(row["lambdas"]) == 2
+        assert row["sweeps"]["median"] >= 1
+        # a certified stop takes one attempt at least, and a step in it
+        assert row["newton_attempts"]["mean"] >= 1 and row["newton_steps"]["mean"] >= 1
+
+
+def test_tight_counts_count_the_finish_calls(monkeypatch):
+    from rank1tensor import solvers
+
+    calls = []
+
+    def reject(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(solvers, "_newton_finish", reject)
+    rows = perf_ab.tight_counts(solves=3)
+    assert sum(3 * r["newton_attempts"]["mean"] for r in rows) == pytest.approx(len(calls))
+    assert len(calls) > 0
+    assert all(r["stationary"] == 0 and r["newton_steps"]["mean"] == 0 for r in rows)
+    # the wrapper is taken out again
+    assert solvers._newton_finish is reject
+
+
+def test_compare_lambdas_moves_lambdas_out():
+    parent = [{"lambdas": [2.0, 4.0]}, {"lambdas": [1.0]}]
+    change = [{"lambdas": [2.0, 4.0 + 4e-12]}, {"lambdas": [1.0]}]
+    perf_ab.compare_lambdas(parent, change)
+    assert parent == [{}, {}]
+    assert change[0]["lambda_max_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
+    assert change[1] == {"lambda_max_rel_diff": 0.0}

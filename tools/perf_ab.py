@@ -36,6 +36,14 @@ asvd sweep, one masvd sweep and, where the side has it, one step of the
 solver's Newton finish, at 8^3 and 32^3 (``update_steps`` in the output).
 The sides take STEP_ROUNDS turns each, alternating which goes first, and
 each keeps its best.
+
+Per side it also counts, in that side's child, what the tol-1e-12 solves of
+the tight cells perfbench times (32^3 asvd, 8^3 asvd, 8^3 masvd) do: the
+median and mean sweeps, calls of the solver's Newton finish and accepted
+Newton steps, and the solves that stopped on certified stationarity
+(``tight_solves`` in the output). These counts do not depend on timing, so
+they show the mechanism behind the noisy times; ``lambda_max_rel_diff``
+compares the two sides' lambda solve by solve.
 """
 
 import argparse
@@ -63,6 +71,9 @@ STEP_REPEATS = 7
 STEP_SECONDS = 0.05
 #: alternating turns of the two sides' update-step timings
 STEP_ROUNDS = 4
+#: (dims, method) of the tight cells, and the Gaussian tensors solved in each
+TIGHT_CELLS = (((32, 32, 32), "asvd"), ((8, 8, 8), "asvd"), ((8, 8, 8), "masvd"))
+TIGHT_SOLVES = 24
 
 
 def parse_seeds(text):
@@ -309,6 +320,62 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     return rows
 
 
+def tight_counts(solves=TIGHT_SOLVES):
+    """Per cell of TIGHT_CELLS, what the importable ``rank1tensor`` does in
+    ``solves`` solves to a fit change of 1e-12 of Gaussian tensors: the
+    median and mean of the sweeps, of the calls of ``solvers._newton_finish``
+    (0 where the side has none) and of the accepted Newton steps (sub-steps
+    over every mode), the count of ``stationary`` stops and each lambda."""
+    import numpy as np
+    from rank1tensor import SolverConfig, Tensor, solve, solvers
+
+    finish = getattr(solvers, "_newton_finish", None)
+    attempts = [0]
+
+    def counted(*args):
+        attempts[0] += 1
+        return finish(*args)
+
+    rows = []
+    if finish is not None:
+        solvers._newton_finish = counted
+    try:
+        for dims, method in TIGHT_CELLS:
+            every = tuple(range(len(dims)))
+            counts = {"sweeps": [], "newton_attempts": [], "newton_steps": []}
+            lambdas, stationary = [], 0
+            for k in range(solves):
+                t = Tensor(np.random.default_rng([*dims, k]).standard_normal(dims))
+                cfg = SolverConfig(method=method, seed=k, fitchange_tol=1e-12, max_iterations=2000)
+                attempts[0] = 0
+                result = solve(t, cfg)
+                counts["sweeps"].append(result.iterations)
+                counts["newton_attempts"].append(attempts[0])
+                counts["newton_steps"].append(
+                    sum(s.modes == every for r in result.trace.iterations for s in r.substeps)
+                )
+                stationary += result.converged_by == "stationary"
+                lambdas.append(result.lambda_)
+            row = {"dims": "x".join(map(str, dims)), "method": method, "solves": solves}
+            for name, values in counts.items():
+                row[name] = {"median": statistics.median(values), "mean": statistics.fmean(values)}
+            row["stationary"] = stationary
+            row["lambdas"] = lambdas
+            rows.append(row)
+    finally:
+        if finish is not None:
+            solvers._newton_finish = finish
+    return rows
+
+
+def compare_lambdas(parent_rows, change_rows):
+    """Move each row's ``lambdas`` out of both sides' rows and give the
+    change's row the largest relative difference from the parent's."""
+    for p, c in zip(parent_rows, change_rows):
+        pairs = zip(p.pop("lambdas"), c.pop("lambdas"))
+        c["lambda_max_rel_diff"] = max(abs(b - a) / abs(a) for a, b in pairs)
+
+
 def _blas_env():
     # perfbench's pinning: one BLAS thread per core
     threads = str(len(os.sched_getaffinity(0)))
@@ -318,13 +385,14 @@ def _blas_env():
     return threads, env
 
 
-def update_steps(tree):
-    """:func:`step_timings` in a child that imports the package from
-    ``tree``/src, with the BLAS thread count pinned as perfbench pins it."""
+def in_child(tree, function):
+    """``perf_ab.<function>()`` in a child that imports the package from
+    ``tree``/src, with the BLAS thread count pinned as perfbench pins it;
+    returns its JSON-decoded result."""
     _, env = _blas_env()
     env["PYTHONPATH"] = os.path.join(tree, "src")
     out = subprocess.run(
-        [sys.executable, "-c", "import json, perf_ab; print(json.dumps(perf_ab.step_timings()))"],
+        [sys.executable, "-c", f"import json, perf_ab; print(json.dumps(perf_ab.{function}()))"],
         cwd=os.path.dirname(os.path.abspath(__file__)),
         env=env, check=True, capture_output=True, text=True,
     ).stdout
@@ -382,6 +450,14 @@ def main(argv=None):
                 "of 1e-6 of a Gaussian tensor"
             ),
         },
+        "tight_solves": {
+            "description": (
+                f"{TIGHT_SOLVES} solves per cell of Gaussian tensors to a fit change of "
+                "1e-12 (max_iterations 2000): sweeps, calls of solvers._newton_finish "
+                "and accepted Newton steps per solve (median and mean), stationary "
+                "stops, and the largest relative lambda difference between the sides"
+            ),
+        },
         "workloads": {},
         "traced": {},
     }
@@ -399,10 +475,13 @@ def main(argv=None):
             result[side] = materialize(rev, trees[side])
         for turn in range(STEP_ROUNDS):
             for side in ("parent", "change") if turn % 2 == 0 else ("change", "parent"):
-                rows = update_steps(trees[side])
+                rows = in_child(trees[side], "step_timings")
                 best = result["update_steps"].setdefault(side, rows)
                 for kept, row in zip(best, rows):
                     kept["us_per_call"] = min(kept["us_per_call"], row["us_per_call"])
+        for side in ("parent", "change"):
+            result["tight_solves"][side] = in_child(trees[side], "tight_counts")
+        compare_lambdas(result["tight_solves"]["parent"], result["tight_solves"]["change"])
         save()
         pair = 0
         for workload, seeds in args.workload:
