@@ -44,6 +44,13 @@ def _sizes(text):
         ) from None
 
 
+def _count(text):
+    # an integer >= 0, rejected here so that nothing is printed before usage
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _fmt(value):
     return f"{value:.12g}"
 
@@ -191,8 +198,9 @@ def build_parser():
         "--tol",
         type=float,
         default=1e-4,
-        help="fit-change stop (default 1e-4); below 1e-6 the solve may also stop "
-        "on a certified stationarity of at most tol^(3/4)|T|",
+        help="fit-change stop (default 1e-4); below 1e-6 the solve also takes "
+        "Newton steps once the fit change is below 1e-4, and may stop on a "
+        "certified stationarity of at most tol^(3/4)|T|",
     )
     p.add_argument("--trace", default=None, help="write per-sub-step CSV here")
     p.set_defaults(func=cmd_decompose)
@@ -224,7 +232,7 @@ def build_parser():
     p = sub.add_parser("ami", help="block Gauss-Seidel spectrum analysis")
     p.add_argument("--input", required=True, help="block matrix text file")
     p.add_argument("--basin", default=None, help="start vector file for a trajectory")
-    p.add_argument("--sweeps", type=int, default=100, help="trajectory length")
+    p.add_argument("--sweeps", type=_count, default=100, help="trajectory length")
     p.set_defaults(func=cmd_ami)
     return parser
 

@@ -73,7 +73,7 @@ def criticality(t, u):
     arr, scale, _ = split_scale(t.array)
     lambdas = []
     residuals = []
-    for i, v in enumerate(_contractions(arr, u.vectors)):
+    for i, v in enumerate(kernels.all_contractions(arr, u.vectors)):
         lam = float(np.dot(u.vectors[i], v))
         lambdas.append(scale * lam)
         residuals.append(scale * float(np.linalg.norm(v - lam * u.vectors[i])))
@@ -106,7 +106,7 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     slack = tol * (scale * math.sqrt(nrm2))  # tol * t.norm()
     checks = []
     if level == 1:
-        contractions = _contractions(arr, u.vectors)
+        contractions = kernels.all_contractions(arr, u.vectors)
         # the mode-0 contraction is the one f_value takes, in the same order
         f = float(np.dot(u.vectors[0], contractions[0]))
         for i, v in enumerate(contractions):
@@ -163,14 +163,7 @@ def apply_F(t, vectors):
             raise DimensionError(
                 f"component {i} has shape {v.shape}, expected ({t.dims[i]},)"
             )
-    return _contractions(t.array, vecs)
-
-
-def _contractions(arr, vectors):
-    # every all-but-one contraction at one tuple, in mode order
-    out = {}
-    kernels.contract_each(arr, vectors, range(arr.ndim), out.__setitem__)
-    return [out[i] for i in range(arr.ndim)]
+    return kernels.all_contractions(t.array, vecs)
 
 
 def fixed_point_residual(t, vectors):

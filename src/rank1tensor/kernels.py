@@ -5,7 +5,8 @@ leaving one mode: the single-mode update of als and mals, and every
 stationarity check. ``contract_all_but_two`` leaves two modes, giving the
 matrix whose top singular pair the asvd and masvd pair steps take.
 ``contract_each`` forms the all-but-one contractions of several modes by a
-dimension tree, reading the tensor in at most two full passes.
+dimension tree, reading the tensor in at most two full passes;
+``all_contractions`` collects every mode's from one such pass.
 
 Call contract: ``arr`` is a C-contiguous float64 ndarray and ``vectors`` a
 sequence of 1-D float64 arrays, one per mode; the entries for kept modes
@@ -99,6 +100,14 @@ def contract_each(arr, vectors, modes, visit):
     modes = tuple(modes)
     if modes:
         _descend(arr, _contract_outside(arr, vectors, modes), vectors, modes, visit)
+
+
+def all_contractions(arr, vectors):
+    """The list of every all-but-one contraction of ``arr`` at one tuple, in
+    mode order, from one :func:`contract_each` pass."""
+    out = [None] * arr.ndim
+    contract_each(arr, vectors, range(arr.ndim), out.__setitem__)
+    return out
 
 
 def _descend(arr, out, vectors, modes, visit):

@@ -58,9 +58,9 @@ class SingularTriple:
     squarings: int = 0  # behind a certified answer; 0 when eigh answered
 
 
-def symmetric_eig(s):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix; raises if the input is not symmetric to 1e-10 relative."""
+def _checked_symmetric(s):
+    # s as a float64 array; raises unless square and symmetric to 1e-10
+    # relative
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {s.shape}")
@@ -70,14 +70,22 @@ def symmetric_eig(s):
         raise InvalidInputError(
             f"matrix is not symmetric: max |S - S^T| = {asym!r} vs scale {scale!r}"
         )
-    return np.linalg.eigh(s)
+    return s
+
+
+def symmetric_eig(s):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
+    matrix; raises if the input is not symmetric to 1e-10 relative."""
+    return np.linalg.eigh(_checked_symmetric(s))
 
 
 def inertia(s, zero_tol=1e-8):
     """Counts (positive, negative, zero) of eigenvalues of a symmetric
-    matrix, with |eigenvalue| <= zero_tol * max(1, max|S|) counted as zero."""
-    s = np.asarray(s, dtype=np.float64)
-    eigenvalues, _ = symmetric_eig(s)
+    matrix, with |eigenvalue| <= zero_tol * max(1, max|S|) counted as zero;
+    raises as :func:`symmetric_eig` does. Only the eigenvalues are
+    computed."""
+    s = _checked_symmetric(s)
+    eigenvalues = np.linalg.eigvalsh(s)
     threshold = zero_tol * max(1.0, float(np.max(np.abs(s))))
     zero = int(np.count_nonzero(np.abs(eigenvalues) <= threshold))
     positive = int(np.count_nonzero(eigenvalues > threshold))

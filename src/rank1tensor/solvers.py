@@ -29,19 +29,20 @@ All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
 ``max_iterations`` sweeps have run. A fit-change stop places a tuple only
 about sqrt(fitchange_tol) from stationarity, and the alternating methods
-close the rest of the way only linearly. So a tight solve, one whose target
-fitchange_tol^(3/4) |T| lies above eps |T| and whose fitchange_tol lies below
-``NEWTON_FIT_CHANGE`` = 1e-6, also has a Newton finish on the product of
-spheres (Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre 2008, ch. 6):
-after a sweep whose fit change is below 1e-6 (a tuple then lies about
-1e-3 |T| from stationarity, where Newton needs two or three steps), Newton
-steps run until the stationarity residual max_i |v_i - (x_i . v_i) x_i| is
-certified at or below that target, and the solve stops with
-``converged_by`` "stationary". When a step is rejected the solve sweeps on,
-and tries again only once the fit change has halved. Every solve with
-fitchange_tol >= 1e-6, the default among them, stops on its fit change
-first, never reaches the finish, and is the same bit for bit as a solve
-without it.
+close the rest of the way only linearly. So a tight solve, one whose
+fitchange_tol lies below ``TIGHT_FIT_CHANGE`` = 1e-6 and whose target
+fitchange_tol^(3/4) |T| lies above eps |T|, also has a Newton finish on the
+product of spheres (Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre
+2008, ch. 6): after a sweep whose fit change is below ``NEWTON_FIT_CHANGE``
+= 1e-4 (a tuple then lies about 1e-2 |T| from stationarity, where Newton
+needs two or three steps), Newton steps run until the stationarity residual
+max_i |v_i - (x_i . v_i) x_i| is certified at or below that target, and the
+solve stops with ``converged_by`` "stationary". When a step is rejected the
+solve sweeps on, and tries again only once the fit change has halved. A
+tight sweep that would stop on its fit change before any attempt was made
+first makes one, and stops "stationary" if it is certified. Every other
+solve, the default among them, never reaches the finish and is the same bit
+for bit as a solve without it.
 
 The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
 tensor whose sum of squares overflows or underflows is solved as
@@ -82,10 +83,12 @@ METHODS = ("als", "asvd", "mals", "masvd")
 #: a contraction below this norm is treated as an exact breakdown
 BREAKDOWN_NORM = 1e-300
 _EPS = float(np.finfo(np.float64).eps)
-#: the Newton finish may follow a sweep whose fit change is below this; the
-#: largest value at which every solve with fitchange_tol >= it stops on its
-#: fit change first and is unchanged bit for bit
-NEWTON_FIT_CHANGE = 1e-6
+#: a solve is tight, and has a Newton finish, when its fitchange_tol is
+#: below this; every other solve is unchanged bit for bit
+TIGHT_FIT_CHANGE = 1e-6
+#: a tight solve hands over to the finish after a sweep whose fit change is
+#: below this
+NEWTON_FIT_CHANGE = 1e-4
 #: a Newton step may lower f by this much relative to |T| (rounding)
 NEWTON_F_SLACK = 4 * _EPS
 
@@ -443,17 +446,6 @@ def _masvd_sweep(arr, vecs, trace):
     return f
 
 
-def _contractions(arr, vecs):
-    # every all-but-one contraction at the tuple, in one dimension-tree pass
-    out = [None] * len(vecs)
-
-    def record(i, v):
-        out[i] = v
-
-    kernels.contract_each(arr, vecs, range(len(vecs)), record)
-    return out
-
-
 def _f_and_stationarity(vecs, contractions):
     # f and max_i |v_i - (x_i . v_i) x_i|, the difference formed directly:
     # sqrt(|v_i|^2 - (x_i . v_i)^2) cancels below about 1e-8
@@ -482,7 +474,7 @@ def _newton_step(arr, vecs, contractions, f):
         y = x + q @ theta[start : start + q.shape[1]]
         start += q.shape[1]
         new.append(y / math.sqrt(np.dot(y, y)))
-    return new, _contractions(arr, new)
+    return new, kernels.all_contractions(arr, new)
 
 
 def _newton_finish(arr, vecs, trace, target, slack):
@@ -499,7 +491,7 @@ def _newton_finish(arr, vecs, trace, target, slack):
     an optimization call: d per gradient pass, d(d - 1)/2 per Hessian.
     """
     d = len(vecs)
-    contractions = _contractions(arr, vecs)
+    contractions = kernels.all_contractions(arr, vecs)
     trace._calls += d
     f, s = _f_and_stationarity(vecs, contractions)
     while s > target:
@@ -593,13 +585,15 @@ def solve(t, cfg=None, initial=None):
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
 
-    # the Newton finish's target, None below rounding; it may run after a
-    # sweep whose fit change is below NEWTON_FIT_CHANGE, and with
-    # fitchange_tol >= NEWTON_FIT_CHANGE the fit-change stop always comes
-    # first, so those solves are unchanged bit for bit
-    target = cfg.fitchange_tol**0.75
-    target = target * nrm if target > _EPS else None
+    # the Newton finish's target: None unless the solve is tight and the
+    # target lies above rounding, so every other solve never reaches it. A
+    # tight solve tries the finish after a sweep whose fit change is below
+    # NEWTON_FIT_CHANGE, again only once the fit change has halved after a
+    # rejection, and once before a fit-change stop if it has not tried yet.
+    tol = cfg.fitchange_tol
+    target = tol**0.75 * nrm if tol < TIGHT_FIT_CHANGE and tol**0.75 > _EPS else None
     retry_below = NEWTON_FIT_CHANGE
+    tried = False
     stationarity = None
     fit_prev = f_current / nrm
     converged_by = "max_iterations"
@@ -615,15 +609,17 @@ def solve(t, cfg=None, initial=None):
             f_after = _masvd_sweep(arr, vecs, trace)
         fit = f_after / nrm
         change = abs(fit - fit_prev)
-        if change < cfg.fitchange_tol:
-            converged_by = "fitchange"
-        elif target is not None and change < retry_below:
+        stop = change < tol
+        if target is not None and change < retry_below and not (stop and tried):
+            tried = True
             s = _newton_finish(arr, vecs, trace, target, NEWTON_F_SLACK * nrm)
             if s is None:
                 retry_below = change / 2
             else:
                 converged_by, stationarity = "stationary", s / nrm
             fit = trace.f_after[-1] / nrm
+        if stop and stationarity is None:
+            converged_by = "fitchange"
         trace._end_sweep(time.perf_counter() - started)
         if converged_by != "max_iterations":
             break

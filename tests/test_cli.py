@@ -334,6 +334,26 @@ class TestAmi:
         )
         assert report["basin_converged_to_zero"] == "False"
 
+    @pytest.mark.parametrize("sweeps", ["-1", "abc", "2.5"])
+    def test_bad_sweeps_rejected_before_any_report(self, sweeps, tmp_path, capsys):
+        path = self.write_h(tmp_path, np.eye(4), (2, 2))
+        xi_path = tmp_path / "xi.txt"
+        xi_path.write_text("1 0 0 0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ami", "--input", path, "--basin", str(xi_path), "--sweeps", sweeps])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "--sweeps" in captured.err
+
+    def test_zero_sweeps_accepted(self, tmp_path, capsys):
+        path = self.write_h(tmp_path, np.eye(4), (2, 2))
+        xi_path = tmp_path / "xi.txt"
+        xi_path.write_text("1 0 0 0\n")
+        code = cli.main(["ami", "--input", path, "--basin", str(xi_path), "--sweeps", "0"])
+        assert code == 0
+        assert parse_report(capsys.readouterr().out)["basin_sweeps"] == "0"
+
 
 class TestBadInputFiles:
     """A file that cannot be read ends in exit 1 and one ``error:`` line."""

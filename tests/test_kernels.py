@@ -131,6 +131,17 @@ def test_each_first_full_contraction_is_contract_all_but_one():
         assert np.array_equal(got[0], kernels.contract_all_but_one(arr, vecs, 0))
 
 
+def test_all_contractions_is_one_full_each_pass():
+    rng = np.random.default_rng(7)
+    for shape in SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        got = {}
+        kernels.contract_each(arr, vecs, range(arr.ndim), got.__setitem__)
+        every = kernels.all_contractions(arr, vecs)
+        assert len(every) == arr.ndim
+        assert all(np.array_equal(v, got[i]) for i, v in enumerate(every))
+
+
 def test_each_with_no_modes_visits_nothing():
     arr = np.ones((2, 3))
     kernels.contract_each(arr, [np.ones(2), np.ones(3)], (), None)

@@ -72,6 +72,14 @@ class TestInertia:
             s = random_symmetric(5, 100 + seed)
             assert tuple(inertia(s)) == oracles.charpoly_inertia(s)
 
+    def test_asymmetric_and_non_square_rejected(self):
+        s = random_symmetric(4, 3)
+        s[0, 1] += 1.0
+        with pytest.raises(InvalidInputError):
+            inertia(s)
+        with pytest.raises(InvalidInputError):
+            inertia(np.ones((2, 3)))
+
 
 class TestTopSingularTripleDense:
     def test_diagonal(self):

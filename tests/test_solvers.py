@@ -883,7 +883,7 @@ class TestNewtonFinish:
             if len(proposals) > 3:
                 return None
             new = [e1, e1.copy(), e1.copy()] if proposal == "lower_f" else [v.copy() for v in vecs]
-            return new, solvers._contractions(arr, new)
+            return new, kernels.all_contractions(arr, new)
 
         monkeypatch.setattr(solvers, "_newton_step", step)
         trace = solvers.SolverTrace(1.0)
@@ -995,7 +995,90 @@ class TestNewtonFinish:
                 assert all(c >= solvers.NEWTON_FIT_CHANGE for c in changes[:-1])
         assert certified >= 14  # of 21
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-300])
+    @pytest.mark.parametrize(
+        "method, dims",
+        [(m, dims) for dims in ((8, 8, 8), (6, 5, 4)) for m in ("als", "asvd", "mals", "masvd")]
+        + [(m, (4, 3, 5, 3)) for m in ("als", "asvd", "mals")],
+    )
+    def test_handoff_at_1e_4_reaches_the_1e_6_maximum(self, method, dims, monkeypatch):
+        # the hand-over as shipped against one after a fit change of 1e-6
+        for seed in range(3):
+            t = random_tensor(dims, 140 + seed)
+            cfg = SolverConfig(method=method, seed=seed, **TIGHT)
+            early = solve(t, cfg)
+            monkeypatch.setattr(solvers, "NEWTON_FIT_CHANGE", 1e-6)
+            late = solve(t, cfg)
+            monkeypatch.undo()
+            assert early.converged_by == late.converged_by == "stationary"
+            assert early.lambda_ == pytest.approx(late.lambda_, rel=1e-12, abs=0.0)
+            for a, b in zip(early.axes.vectors, late.axes.vectors):
+                assert np.allclose(a, b, rtol=0.0, atol=1e-8)
+            if method in ("mals", "masvd"):
+                level = 1 if method == "mals" else 2
+                assert check_semi_max(t, early.axes, level=level).passed
+
+    @pytest.mark.parametrize("tol", [np.finfo(float).eps ** 0.5, 1e-7])
+    def test_every_solve_below_the_gate_is_certified(self, tol):
+        # the cases of test_tolerance_below_the_gate_reaches_the_finish: a
+        # solve whose fit change jumps past [tol, NEWTON_FIT_CHANGE) in one
+        # sweep makes one attempt before its fit-change stop
+        cases = [(m, (6, 5, 4)) for m in ("als", "asvd", "mals", "masvd")]
+        cases += [(m, (4, 3, 5, 3)) for m in ("als", "asvd", "mals")]
+        for method, dims in cases:
+            for seed in range(3):
+                t = random_tensor(dims, 90 + seed)
+                cfg = SolverConfig(method=method, seed=seed, fitchange_tol=tol, max_iterations=2000)
+                result = solve(t, cfg)
+                assert result.converged_by == "stationary", (method, dims, seed)
+                assert stationarity(t, result.axes) <= tol**0.75
+
+    @pytest.mark.parametrize("method", ["als", "asvd", "mals", "masvd"])
+    def test_handoff_follows_the_first_fit_change_below_1e_4(self, method, monkeypatch):
+        t = random_tensor((6, 5, 4), 113)
+        nrm = t.norm()
+        first = []
+        finish = solvers._newton_finish
+
+        def record(arr, vecs, trace, target, slack):
+            ended = trace.sweep_ends
+            f_prev = trace.f_after[ended[-1] - 1] if ended else trace.f_initial
+            first.append((len(ended), abs(trace.f_after[-1] - f_prev) / nrm))
+            return finish(arr, vecs, trace, target, slack)
+
+        monkeypatch.setattr(solvers, "_newton_finish", record)
+        result = solve(t, SolverConfig(method=method, seed=114, **TIGHT))
+        assert result.converged_by == "stationary"
+        sweep, change = first[0]
+        fs = [result.trace.f_initial, *(r.f_after for r in result.trace.iterations[:sweep])]
+        assert change < 1e-4
+        assert all(abs(b - a) / nrm >= 1e-4 for a, b in zip(fs, fs[1:]))
+
+    def test_attempt_before_a_fit_change_stop(self, monkeypatch):
+        # with the hand-over gate at the solve's own tolerance, a tight solve
+        # makes exactly one attempt, in the sweep that meets its stop
+        t = random_tensor((6, 5, 4), 111)
+        cfg = SolverConfig(method="asvd", seed=112, **TIGHT)
+        monkeypatch.setattr(solvers, "NEWTON_FIT_CHANGE", TIGHT["fitchange_tol"])
+        certified = solve(t, cfg)
+        assert certified.converged_by == "stationary" and certified.stationarity <= 1e-9
+        attempts = []
+
+        def reject(arr, vecs, trace, target, slack):
+            attempts.append(len(trace.sweep_ends) + 1)
+            return None
+
+        monkeypatch.setattr(solvers, "_newton_finish", reject)
+        rejected = solve(t, cfg)
+        assert rejected.converged_by == "fitchange" and rejected.stationarity is None
+        assert attempts == [rejected.iterations] == [certified.iterations]
+        # a solve that has tried already makes no attempt at its stop
+        attempts.clear()
+        monkeypatch.setattr(solvers, "NEWTON_FIT_CHANGE", 1e-4)
+        rejected = solve(t, cfg)
+        assert rejected.converged_by == "fitchange"
+        assert attempts and attempts[-1] < rejected.iterations
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5, 2e-6, 1e-6, 1e-300])
     def test_finish_never_runs_outside_its_range(self, tol, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the Newton finish ran")

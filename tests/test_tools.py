@@ -193,6 +193,30 @@ def test_tight_counts_count_the_finish_calls(monkeypatch):
     assert solvers._newton_finish is reject
 
 
+def test_tight_counts_count_opt_calls_and_rejected_attempts(monkeypatch):
+    from rank1tensor import solvers
+
+    finish = solvers._newton_finish
+    results = []
+
+    def reject_first(*args):
+        # each solve's first attempt is rejected; later ones run as shipped
+        first = not results or results[-1] is not None
+        results.append(None if first else finish(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_newton_finish", reject_first)
+    rows = perf_ab.tight_counts(solves=2)
+    rejected = sum(2 * r["rejected_attempts"]["mean"] for r in rows)
+    assert rejected == results.count(None) >= 6
+    for row in rows:
+        assert row["rejected_attempts"]["median"] >= 1
+        assert row["newton_attempts"]["mean"] > row["rejected_attempts"]["mean"]
+        # the sweeps' calls and each attempt's d + d(d - 1)/2 at least
+        assert row["opt_calls"]["median"] >= row["sweeps"]["median"] + 6
+    assert solvers._newton_finish is reject_first
+
+
 def test_compare_lambdas_moves_lambdas_out():
     parent = [{"lambdas": [2.0, 4.0]}, {"lambdas": [1.0]}]
     change = [{"lambdas": [2.0, 4.0 + 4e-12]}, {"lambdas": [1.0]}]

@@ -39,8 +39,9 @@ each keeps its best.
 
 Per side it also counts, in that side's child, what the tol-1e-12 solves of
 the tight cells perfbench times (32^3 asvd, 8^3 asvd, 8^3 masvd) do: the
-median and mean sweeps, calls of the solver's Newton finish and accepted
-Newton steps, and the solves that stopped on certified stationarity
+median and mean sweeps, optimization calls, calls of the solver's Newton
+finish, rejected finish calls and accepted Newton steps, and the solves
+that stopped on certified stationarity
 (``tight_solves`` in the output). These counts do not depend on timing, so
 they show the mechanism behind the noisy times; ``lambda_max_rel_diff``
 compares the two sides' lambda solve by solve.
@@ -296,8 +297,10 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     ``masvd_sweep`` and ``newton_step``, the last only where ``solvers``
     has ``_newton_step``."""
     import numpy as np
-    from rank1tensor import SolverConfig, Tensor, solve, solvers
+    from rank1tensor import SolverConfig, Tensor, kernels, solve, solvers
 
+    # the finish's contraction pass, which moved from solvers to kernels
+    contract = getattr(kernels, "all_contractions", None) or getattr(solvers, "_contractions", None)
     rows = []
     for dims in STEP_DIMS:
         t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
@@ -309,7 +312,7 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
         }
         if hasattr(solvers, "_newton_step"):
             vecs = list(u.vectors)
-            contractions = solvers._contractions(t.array, vecs)
+            contractions = contract(t.array, vecs)
             f, _ = solvers._f_and_stationarity(vecs, contractions)
             calls["newton_step"] = lambda: solvers._newton_step(t.array, vecs, contractions, f)
         for step, call in calls.items():
@@ -323,18 +326,22 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
 def tight_counts(solves=TIGHT_SOLVES):
     """Per cell of TIGHT_CELLS, what the importable ``rank1tensor`` does in
     ``solves`` solves to a fit change of 1e-12 of Gaussian tensors: the
-    median and mean of the sweeps, of the calls of ``solvers._newton_finish``
-    (0 where the side has none) and of the accepted Newton steps (sub-steps
-    over every mode), the count of ``stationary`` stops and each lambda."""
+    median and mean of the sweeps, of the optimization calls, of the calls
+    of ``solvers._newton_finish`` (0 where the side has none), of those calls
+    that were rejected (returned None) and of the accepted Newton steps
+    (sub-steps over every mode), the count of ``stationary`` stops and each
+    lambda."""
     import numpy as np
     from rank1tensor import SolverConfig, Tensor, solve, solvers
 
     finish = getattr(solvers, "_newton_finish", None)
-    attempts = [0]
+    attempts = {"all": 0, "rejected": 0}
 
     def counted(*args):
-        attempts[0] += 1
-        return finish(*args)
+        s = finish(*args)
+        attempts["all"] += 1
+        attempts["rejected"] += s is None
+        return s
 
     rows = []
     if finish is not None:
@@ -342,15 +349,20 @@ def tight_counts(solves=TIGHT_SOLVES):
     try:
         for dims, method in TIGHT_CELLS:
             every = tuple(range(len(dims)))
-            counts = {"sweeps": [], "newton_attempts": [], "newton_steps": []}
+            counts = {
+                "sweeps": [], "opt_calls": [], "newton_attempts": [],
+                "rejected_attempts": [], "newton_steps": [],
+            }
             lambdas, stationary = [], 0
             for k in range(solves):
                 t = Tensor(np.random.default_rng([*dims, k]).standard_normal(dims))
                 cfg = SolverConfig(method=method, seed=k, fitchange_tol=1e-12, max_iterations=2000)
-                attempts[0] = 0
+                attempts.update(all=0, rejected=0)
                 result = solve(t, cfg)
                 counts["sweeps"].append(result.iterations)
-                counts["newton_attempts"].append(attempts[0])
+                counts["opt_calls"].append(result.optimization_calls)
+                counts["newton_attempts"].append(attempts["all"])
+                counts["rejected_attempts"].append(attempts["rejected"])
                 counts["newton_steps"].append(
                     sum(s.modes == every for r in result.trace.iterations for s in r.substeps)
                 )
@@ -453,8 +465,9 @@ def main(argv=None):
         "tight_solves": {
             "description": (
                 f"{TIGHT_SOLVES} solves per cell of Gaussian tensors to a fit change of "
-                "1e-12 (max_iterations 2000): sweeps, calls of solvers._newton_finish "
-                "and accepted Newton steps per solve (median and mean), stationary "
+                "1e-12 (max_iterations 2000): sweeps, opt_calls, calls of "
+                "solvers._newton_finish, rejected calls and accepted Newton steps per "
+                "solve (median and mean), stationary "
                 "stops, and the largest relative lambda difference between the sides"
             ),
         },
