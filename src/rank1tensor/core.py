@@ -268,8 +268,8 @@ def tangent_basis(x):
     -sign(x_0) e_1."""
     w = x.copy()
     w[0] += 1.0 if x[0] >= 0.0 else -1.0
-    q = np.outer(w, w[1:] / (-1.0 - abs(x[0])))
-    q[1:] += np.eye(x.size - 1)
+    q = w[:, None] * (w[1:] / (-1.0 - abs(x[0])))
+    q.reshape(-1)[x.size - 1 :: x.size] += 1.0  # q[1 + k, k], the identity below row 0
     return q
 
 

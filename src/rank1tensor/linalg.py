@@ -118,12 +118,14 @@ def _certified_top_eigvec(g):
                 p /= p.trace()
             continue
         p /= p.trace()
-        col = p[:, int(np.argmax(p.diagonal()))]
-        x = col / np.linalg.norm(col)
+        # sqrt(r.r) is what np.linalg.norm(r) computes, without its wrapper
+        col = p[:, int(p.diagonal().argmax())]
+        x = col / math.sqrt(np.dot(col, col))
         gx = g @ x
         theta = float(x @ gx)
+        r = gx - theta * x
         certified = (
-            np.linalg.norm(gx - theta * x) <= CERTIFY_RESIDUAL * theta
+            math.sqrt(np.dot(r, r)) <= CERTIFY_RESIDUAL * theta
             and float(x @ (p @ x)) > 0.5 + DOMINANCE_MARGIN
         )
         if certified:

@@ -460,15 +460,24 @@ def _f_and_stationarity(vecs, contractions):
 def _newton_step(arr, vecs, contractions, f):
     # one Newton step from the tuple whose contractions and objective are
     # given: (new vectors, their contractions), or None when H is not
-    # positive definite
+    # positive definite. With block 0 first, H = [[f/2 I, C^T], [C, H_R]] is
+    # positive definite iff f > 0 and S = H_R - (2/f) C C^T is, so only S is
+    # factored: theta_R solves S theta_R = (g_R - (2/f) C g_0) / 2, and
+    # theta_0 = (g_0 - 2 C^T theta_R) / f
+    if not f > 0.0:
+        return None
     bases = [tangent_basis(x) for x in vecs]
     h = tangent_hessian(arr, vecs, bases, f)
+    n0 = bases[0].shape[1]
+    c = h[n0:, :n0]
+    schur = h[n0:, n0:] - (2.0 / f) * (c @ c.T)
     try:
-        np.linalg.cholesky(h)
+        np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
         return None
     g = np.concatenate([q.T @ v for q, v in zip(bases, contractions)])
-    theta = 0.5 * np.linalg.solve(h, g)
+    theta_r = np.linalg.solve(schur, 0.5 * (g[n0:] - (2.0 / f) * (c @ g[:n0])))
+    theta = np.concatenate([(g[:n0] - 2.0 * (c.T @ theta_r)) / f, theta_r])
     new, start = [], 0
     for x, q in zip(vecs, bases):
         y = x + q @ theta[start : start + q.shape[1]]

@@ -223,9 +223,10 @@ def test_criterion_07_fixed_point_round_trip(semi_runs):
     # The tuples come from criterion 6's runs at a fit change of 1e-12. A
     # fit-change stop alone localizes a tuple only to about sqrt(1e-12) =
     # 1e-6 (f is flat to second order at a maximum), which left
-    # |F(v) - v| / |v| near 6e-7. After a sweep whose fit change is below
-    # 1e-6 (solvers.NEWTON_FIT_CHANGE) solve also runs its Newton finish,
-    # which stops only once the stationarity residual is certified at or
+    # |F(v) - v| / |v| near 6e-7. A solve at a fit change below 1e-6 also
+    # runs its Newton finish, after a sweep whose fit change is below 1e-4
+    # (solvers.NEWTON_FIT_CHANGE) or before its fit-change stop, and the
+    # finish stops only once the stationarity residual is certified at or
     # below 1e-12^(3/4) |T| = 1e-9 |T|. Since
     # |F(v) - v| / |v| = |e| / (lambda sqrt(d)), with e the stacked
     # stationarity residuals (see test_diagnostics.py), that certificate is

@@ -849,6 +849,38 @@ class TestNewtonFinish:
         assert last.index == result.iterations and last.substeps[-1].modes == (0, 1, 2)
         assert last.f_after == pytest.approx(result.lambda_, rel=1e-14)
 
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 5, 4), (4, 3, 5, 3), (7, 5), (1, 4, 3)])
+    def test_step_is_the_dense_newton_step(self, dims):
+        # the step factors only a Schur complement of H; it must return None
+        # exactly when H is not positive definite, and otherwise retract
+        # theta = H^-1 g / 2 solved densely
+        t = random_tensor(dims, 115)
+        tuples = [random_tuple(dims, 116 + k) for k in range(12)]
+        near = SolverConfig(method="als", fitchange_tol=1e-6, max_iterations=500)
+        tuples += [solve(t, near, initial=random_tuple(dims, 130 + k)).axes for k in range(4)]
+        definite = 0
+        for u in tuples:
+            vecs = list(u.vectors)
+            contractions = kernels.all_contractions(t.array, vecs)
+            f = float(np.dot(vecs[0], contractions[0]))
+            bases = [tangent_basis(x) for x in vecs]
+            h = tangent_hessian(t.array, vecs, bases, f)
+            step = solvers._newton_step(t.array, vecs, contractions, f)
+            if np.linalg.eigvalsh(h)[0] <= 0.0:
+                assert step is None
+                continue
+            definite += 1
+            g = np.concatenate([q.T @ v for q, v in zip(bases, contractions)])
+            theta = 0.5 * np.linalg.solve(h, g)
+            start = 0
+            for x, q, y in zip(vecs, bases, step[0]):
+                z = x + q @ theta[start : start + q.shape[1]]
+                start += q.shape[1]
+                assert np.allclose(y, z / np.linalg.norm(z), rtol=0.0, atol=1e-10)
+            for v, w in zip(step[1], kernels.all_contractions(t.array, step[0])):
+                assert np.array_equal(v, w)
+        assert definite >= 4
+
     def test_rejection_at_a_minimum_leaves_tuple_and_trace(self):
         # flipping one axis of a local maximum gives a local minimum, where
         # the Hessian is positive definite and H is not
