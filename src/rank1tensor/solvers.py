@@ -35,7 +35,7 @@ fitchange_tol^(3/4) |T| lies above eps |T|, also has a Newton finish on the
 product of spheres (Zhang & Golub, SIMAX 2001; Absil, Mahony & Sepulchre
 2008, ch. 6): after a sweep whose fit change is below ``NEWTON_FIT_CHANGE``
 = 1e-4 (a tuple then lies about 1e-2 |T| from stationarity, where Newton
-needs two or three steps), Newton steps run until the stationarity residual
+needs three or four steps), Newton steps run until the stationarity residual
 max_i |v_i - (x_i . v_i) x_i| is certified at or below that target, and the
 solve stops with ``converged_by`` "stationary". When a step is rejected the
 solve sweeps on, and tries again only once the fit change has halved. A
