@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .core import f_from_arrays, tangent_hessian
+from .core import f_from_arrays, tangent_basis, tangent_hessian
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -277,31 +277,25 @@ def hessian_form_at(t, u):
     """Local quadratic model of the objective at a tuple.
 
     Tangent coordinates on each sphere map theta_i to x_i + Q_i theta_i,
-    normalized, where Q_i, orthonormal and orthogonal to x_i, is the QR
-    factor of [x_i, I] past its first column. In them
+    normalized, where Q_i = :func:`core.tangent_basis` (x_i) holds the last
+    m_i - 1 columns of the Householder reflector that maps x_i to a multiple
+    of e_1: the bases the solvers' Newton finish takes. In them
     f(theta) = f(0) + g^T theta - theta^T H theta + O(|theta|^3), with H
     minus half the Riemannian Hessian in closed form
-    (:func:`core.tangent_hessian`, which the solvers' Newton finish also
-    builds): block (i, i) is (f / 2) I and block (i, j) is
-    -(1/2) Q_i^T M_ij Q_j, M_ij being the all-but-two contraction at the
-    tuple. Returns H as a
-    :class:`BlockQuadraticForm` with block sizes (m_i - 1). Near a strict
+    (:func:`core.tangent_hessian`): block (i, i) is (f / 2) I and block
+    (i, j) is -(1/2) Q_i^T M_ij Q_j, M_ij being the all-but-two contraction
+    at the tuple. Returns H as a :class:`BlockQuadraticForm` with block
+    sizes (m_i - 1). Another orthonormal basis of each tangent plane changes
+    H by a block-diagonal orthogonal congruence and K by a similarity, so
+    :func:`analyze` reports the same counts and spectrum. Near a strict
     local maximum the diagonal blocks are positive definite, :func:`analyze`
     applies, and its spectral radius is the local linear rate of als.
     """
     if t.dims != u.dims:
         raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
-    bases = []
-    for x in u.vectors:
-        m = x.size
-        if m < 2:
-            raise InvalidInputError("tangent coordinates need every m_i >= 2")
-        full = np.concatenate([x[:, None], np.eye(m)], axis=1)
-        q_mat, _ = np.linalg.qr(full)
-        if np.dot(q_mat[:, 0], x) < 0:
-            q_mat = -q_mat
-        bases.append(q_mat[:, 1:])  # orthonormal, orthogonal to x
-
+    if min(t.dims) < 2:
+        raise InvalidInputError("tangent coordinates need every m_i >= 2")
+    bases = [tangent_basis(x) for x in u.vectors]
     f = f_from_arrays(t.array, u.vectors)
     h = tangent_hessian(t.array, u.vectors, bases, f)
     return BlockQuadraticForm(h, [m - 1 for m in t.dims])

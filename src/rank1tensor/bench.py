@@ -103,29 +103,6 @@ def generate(spec, seed=None):
     return Tensor(raw.astype(np.float64).reshape(spec.dims), copy=False)
 
 
-def write_volume(t, path, bits=8):
-    """Store a tensor of integer values in the raw volume format."""
-    if bits not in (8, 16):
-        raise InvalidInputError(f"unsupported bit depth {bits}")
-    dtype = "<u1" if bits == 8 else "<u2"
-    flat = t.data
-    if np.any(flat < 0) or np.any(flat > 2**bits - 1) or np.any(flat != np.floor(flat)):
-        raise InvalidInputError(f"entries do not fit an unsigned {bits}-bit range")
-    flat.astype(dtype).tofile(path)
-
-
-def downsample2(t):
-    """Halve every dimension by averaging disjoint 2^d blocks."""
-    if any(m % 2 for m in t.dims):
-        raise DimensionError(f"all dims must be even to downsample, got {t.dims}")
-    arr = t.array
-    new_shape = []
-    for m in t.dims:
-        new_shape.extend((m // 2, 2))
-    mean_axes = tuple(range(1, 2 * t.ndim, 2))
-    return Tensor(arr.reshape(new_shape).mean(axis=mean_axes), copy=False)
-
-
 @dataclass
 class RunRecord:
     method: str

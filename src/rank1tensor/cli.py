@@ -74,16 +74,20 @@ def cmd_decompose(args):
     if result.stationarity is not None:
         print(f"stationarity {_fmt(result.stationarity)}")
     if args.trace:
+        trace = result.trace
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write("iteration,substep,modes,chosen,f_after,opt_calls\n")
-            for record in result.trace.iterations:
-                for s, step in enumerate(record.substeps):
-                    modes = "+".join(str(m) for m in step.modes)
-                    chosen = "" if step.chosen is None else str(step.chosen)
+            start = 0
+            for k, end in enumerate(trace.sweep_ends):
+                for s in range(start, end):
+                    step_modes, step_chosen, _ = trace.steps[s]
+                    modes = "+".join(str(m) for m in step_modes)
+                    chosen = "" if step_chosen is None else str(step_chosen)
                     fh.write(
-                        f"{record.index},{s},{modes},{chosen},"
-                        f"{step.f_after:.17g},{record.opt_calls}\n"
+                        f"{k + 1},{s - start},{modes},{chosen},"
+                        f"{trace.f_after[s]:.17g},{trace.opt_calls[k]}\n"
                     )
+                start = end
     return EXIT_OK
 
 

@@ -244,23 +244,6 @@ def contract(t, modes, x):
     return Tensor(out, copy=False)
 
 
-def contract_vectors(t, u, keep):
-    """Contract ``t`` against the tuple's vectors on every mode except ``keep``.
-
-    Hot path used by the solvers; returns a vector of length dims[keep].
-    """
-    _check_tuple_dims(t, u)
-    return kernels.contract_all_but_one(t.array, u.vectors, keep)
-
-
-def contract_vectors_pair(t, u, keep_i, keep_j):
-    """As :func:`contract_vectors` but keeping two modes (keep_i < keep_j)."""
-    _check_tuple_dims(t, u)
-    if not 0 <= keep_i < keep_j < t.ndim:
-        raise DimensionError(f"invalid kept mode pair ({keep_i}, {keep_j})")
-    return kernels.contract_all_but_two(t.array, u.vectors, keep_i, keep_j)
-
-
 def tangent_basis(x):
     """Orthonormal columns spanning the plane orthogonal to the unit vector
     ``x``: the last m - 1 columns of the Householder reflector
@@ -324,9 +307,13 @@ def residual_norm(t, u):
     """Distance from ``t`` to the best multiple of the tuple's outer product.
 
     Equals sqrt(|T|^2 - f_value(T, u)^2) by the Pythagoras split of ``t``
-    into its projection onto the rank-one line and the complement.
+    into its projection onto the rank-one line and the complement. A tensor
+    whose sum of squares overflows or underflows is measured as
+    T / max|T| and the result scaled back, as :func:`solvers.solve` does.
     """
-    return residual_from(float(np.dot(t.data, t.data)), f_value(t, u))
+    _check_tuple_dims(t, u)
+    arr, scale, nrm2 = split_scale(t.array)
+    return scale * residual_from(nrm2, f_from_arrays(arr, u.vectors))
 
 
 def residual_from(nrm2, f):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Tensor, UnitTuple
+from .core import Tensor, UnitTuple, split_scale
 from .errors import ParseError
 
 
@@ -153,13 +153,14 @@ def parse_tuple_text(text):
                 lineno, f"expected {dims[i]} entries for mode {i}, got {len(tokens)}"
             )
         v = _collect_values(lines[:lineno], lineno, dims[i], "vector entry")
-        n = np.linalg.norm(v)
-        if n == 0.0:
+        # the norm as scale * sqrt(sq), finite and nonzero at any finite scale
+        _, scale, sq = split_scale(v)
+        if sq == 0.0:
             raise ParseError(lineno, f"mode-{i} vector is zero")
-        if abs(n - 1.0) > 1e-12:
+        if abs(scale * math.sqrt(sq) - 1.0) > 1e-12:
             adjusted = True
-        vectors.append(v / n)
-    return UnitTuple(vectors), adjusted
+        vectors.append(v)
+    return UnitTuple(vectors, normalize=True), adjusted
 
 
 def read_tuple_text(path):

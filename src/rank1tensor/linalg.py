@@ -1,5 +1,4 @@
-"""Matrix kernels: leading singular triple, symmetric eigendecomposition,
-and inertia counts.
+"""Matrix kernels: leading singular triple and inertia counts.
 
 The leading singular triple is computed through the Gram matrix G of the
 smaller side (A A^T or A^T A), whose top eigenvector is one singular vector;
@@ -58,9 +57,11 @@ class SingularTriple:
     squarings: int = 0  # behind a certified answer; 0 when eigh answered
 
 
-def _checked_symmetric(s):
-    # s as a float64 array; raises unless square and symmetric to 1e-10
-    # relative
+def inertia(s, zero_tol=1e-8):
+    """Counts (positive, negative, zero) of eigenvalues of a symmetric
+    matrix, with |eigenvalue| <= zero_tol * max(1, max|S|) counted as zero;
+    raises unless the input is square and symmetric to 1e-10 relative. Only
+    the eigenvalues are computed."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {s.shape}")
@@ -70,23 +71,8 @@ def _checked_symmetric(s):
         raise InvalidInputError(
             f"matrix is not symmetric: max |S - S^T| = {asym!r} vs scale {scale!r}"
         )
-    return s
-
-
-def symmetric_eig(s):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix; raises if the input is not symmetric to 1e-10 relative."""
-    return np.linalg.eigh(_checked_symmetric(s))
-
-
-def inertia(s, zero_tol=1e-8):
-    """Counts (positive, negative, zero) of eigenvalues of a symmetric
-    matrix, with |eigenvalue| <= zero_tol * max(1, max|S|) counted as zero;
-    raises as :func:`symmetric_eig` does. Only the eigenvalues are
-    computed."""
-    s = _checked_symmetric(s)
     eigenvalues = np.linalg.eigvalsh(s)
-    threshold = zero_tol * max(1.0, float(np.max(np.abs(s))))
+    threshold = zero_tol * max(1.0, float(scale))
     zero = int(np.count_nonzero(np.abs(eigenvalues) <= threshold))
     positive = int(np.count_nonzero(eigenvalues > threshold))
     negative = len(eigenvalues) - positive - zero
@@ -104,13 +90,14 @@ def _sign_fix(u, v):
     return u, v
 
 
-def _certified_top_eigvec(g):
-    # Repeated squaring of P = G / tr G; returns (x, squarings) once the
-    # certificate holds, None when it fails within MAX_SQUARINGS. A unit
-    # trace keeps every entry of P in [-1, 1], and three squarings shrink
-    # the trace to no less than k^-7 for side k, so renormalizing every
-    # third squaring before the first check cannot underflow.
-    p = g / g.trace()
+def _certified_top_eigvec(g, trace):
+    # Repeated squaring of P = G / tr G, given tr G as ``trace``; returns
+    # (x, squarings) once the certificate holds, None when it fails within
+    # MAX_SQUARINGS. A unit trace keeps every entry of P in [-1, 1], and
+    # three squarings shrink the trace to no less than k^-7 for side k, so
+    # renormalizing every third squaring before the first check cannot
+    # underflow.
+    p = g / trace
     for s in range(1, MAX_SQUARINGS + 1):
         p = p @ p
         if s < FIRST_CHECK_SQUARINGS:
@@ -150,11 +137,12 @@ def top_singular_triple(a, mode="auto"):
     wide = a.shape[0] <= a.shape[1]
     gram = a @ a.T if wide else a.T @ a
     # a positive trace proves a nonzero; only otherwise is a scanned
-    if not gram.trace() > 0.0 and not np.any(a):
+    trace = gram.trace()
+    if not trace > 0.0 and not np.any(a):
         raise DegenerateInputError("matrix is identically zero")
     found = None
     if mode == "auto" and gram.shape[0] >= SQUARING_MIN_SIDE:
-        found = _certified_top_eigvec(gram)
+        found = _certified_top_eigvec(gram, trace)
     if found is None:
         _, vecs = np.linalg.eigh(gram)
         found = np.ascontiguousarray(vecs[:, -1]), 0

@@ -17,8 +17,9 @@ product of unit spheres:
   other two vectors by the top singular pair of the contracted matrix.
   Guarantees accumulation at points maximal in every pair of modes.
 
-Every candidate-generating contraction counts as one optimization call.
-The single-mode methods form their contractions with
+Every candidate-generating contraction counts as one optimization call; a
+solve records it, and each sub-step's objective, in the columns of a
+:class:`SolverTrace`. The single-mode methods form their contractions with
 :func:`kernels.contract_each`: an als sweep is one dimension-tree pass and
 each mals round computes all of its stale candidates in one call, so an als
 sweep reads the tensor twice and a mals sweep d + 1 times.
@@ -82,6 +83,8 @@ METHODS = ("als", "asvd", "mals", "masvd")
 
 #: a contraction below this norm is treated as an exact breakdown
 BREAKDOWN_NORM = 1e-300
+#: random starts drawn before a tensor with objective zero at each is given up
+START_RETRIES = 100
 _EPS = float(np.finfo(np.float64).eps)
 #: a solve is tight, and has a Newton finish, when its fitchange_tol is
 #: below this; every other solve is unchanged bit for bit
@@ -121,29 +124,6 @@ class SolverConfig:
             raise InvalidInputError(f"unknown init {self.init!r}")
 
 
-@dataclass
-class SubStep:
-    """One vector replacement: which modes changed, the objective after, and
-    (for the greedy methods) the candidate values that were compared."""
-
-    modes: tuple
-    f_after: float
-    chosen: Optional[int] = None
-    candidates: Optional[dict] = None
-
-
-@dataclass
-class IterationRecord:
-    """One sweep, as :attr:`SolverTrace.iterations` builds it."""
-
-    index: int
-    f_before: float
-    f_after: float
-    substeps: list
-    opt_calls: int  # cumulative count at the end of this iteration
-    wall_seconds: float
-
-
 #: (modes, chosen, candidate keys) of a sub-step: one immutable tuple per
 #: distinct value, shared by every trace; bounded, since the key sets of
 #: mals can number 2^d
@@ -159,8 +139,9 @@ class SolverTrace:
     greedy method compared; those values follow one another in
     ``candidates``, in key order. Per sweep: the cumulative ``opt_calls``,
     ``wall_seconds``, and ``sweep_ends``, the number of sub-steps recorded
-    by the end of the sweep. :attr:`iterations` builds the per-sweep
-    records from these columns each time it is read.
+    by the end of the sweep. So sweep k (from 0) holds the sub-steps
+    ``sweep_ends[k - 1]`` (0 for k = 0) up to ``sweep_ends[k]``, and its
+    final objective is ``f_after[sweep_ends[k] - 1]``.
     """
 
     __slots__ = (
@@ -210,32 +191,6 @@ class SolverTrace:
         yield from self.f_after
 
     @property
-    def iterations(self):
-        """One :class:`IterationRecord` per sweep, built from the columns."""
-        records = []
-        f_before = self.f_initial
-        start = offset = 0
-        for k, end in enumerate(self.sweep_ends):
-            substeps = []
-            for s in range(start, end):
-                modes, chosen, keys = self.steps[s]
-                candidates = None
-                if keys:
-                    values = self.candidates[offset : offset + len(keys)]
-                    candidates = dict(zip(keys, values))
-                    offset += len(keys)
-                substeps.append(SubStep(modes, self.f_after[s], chosen, candidates))
-            f_after = self.f_after[end - 1]
-            records.append(
-                IterationRecord(
-                    k + 1, f_before, f_after, substeps, self.opt_calls[k], self.wall_seconds[k]
-                )
-            )
-            f_before = f_after
-            start = end
-        return records
-
-    @property
     def total_opt_calls(self):
         return self.opt_calls[-1] if self.opt_calls else 0
 
@@ -263,13 +218,13 @@ class Rank1Result:
         return Rank1Tensor(self.lambda_, self.axes)
 
 
-def init_random(dims, seed=0, tensor=None, max_retries=100):
+def init_random(dims, seed=0, tensor=None):
     """Uniformly random point on the sphere product (normalized Gaussians),
     deterministic per seed (a ``np.random.Generator`` is drawn from in
     place). When ``tensor`` is given, resamples until the objective is
-    nonzero (bounded retries)."""
+    nonzero, at most ``START_RETRIES`` times."""
     if tensor is not None:
-        return UnitTuple(_random_start(dims, seed, tensor, max_retries)[0])
+        return UnitTuple(_random_start(dims, seed, tensor)[0])
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 for m in dims):
         raise DimensionError(f"invalid dims {dims}")
@@ -296,17 +251,17 @@ def _draw_unit_vectors(rng, dims):
     return vecs
 
 
-def _random_start(dims, seed, t, max_retries=100):
+def _random_start(dims, seed, t):
     # the first random unit vectors with a nonzero objective, and that
     # objective
     rng = _rng(seed)
-    for _ in range(max_retries):
+    for _ in range(START_RETRIES):
         vecs = _draw_unit_vectors(rng, dims)
         f = f_from_arrays(t.array, vecs)
         if f != 0.0:
             return vecs, f
     raise DegenerateInputError(
-        f"{max_retries} consecutive random starts had objective exactly zero"
+        f"{START_RETRIES} consecutive random starts had objective exactly zero"
     )
 
 
@@ -346,14 +301,6 @@ def default_pair_schedule(d):
         unused.remove(pick)
         schedule.append(pick)
     return schedule
-
-
-def _validate_schedule(schedule, d):
-    for pair in schedule:
-        i, j = pair
-        if not 0 <= i < j < d:
-            raise DimensionError(f"invalid pair {pair!r} for a {d}-mode tensor")
-    return [(int(i), int(j)) for i, j in schedule]
 
 
 def _normalized(i, v):
@@ -533,14 +480,11 @@ def als_sweep(t, u):
     return UnitTuple(vecs)
 
 
-def asvd_sweep(t, u, schedule=None):
-    """One pass of pair updates over ``schedule`` (default order for d)."""
+def asvd_sweep(t, u):
+    """One pass of pair updates in the default order for d."""
     _check_method_dims("asvd", t.ndim)
-    schedule = _validate_schedule(
-        schedule if schedule is not None else default_pair_schedule(t.ndim), t.ndim
-    )
     vecs = [v.copy() for v in u.vectors]
-    _asvd_sweep(t.array, vecs, SolverTrace(), schedule)
+    _asvd_sweep(t.array, vecs, SolverTrace(), default_pair_schedule(t.ndim))
     return UnitTuple(vecs)
 
 

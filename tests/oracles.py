@@ -163,7 +163,8 @@ def gauss_seidel_2x2_reference(a):
 def tangent_bases(vectors):
     """Per vector x, its orthonormal completion Q (columns orthogonal to
     x) from the QR factorization of [x, I], signed so that the first
-    column is +x: the tangent coordinates of ``ami.hessian_form_at``."""
+    column is +x: a second chart, next to the Householder bases of
+    ``core.tangent_basis`` that the library takes."""
     bases = []
     for x in vectors:
         q_mat, _ = np.linalg.qr(np.concatenate([x[:, None], np.eye(x.size)], axis=1))
@@ -173,15 +174,13 @@ def tangent_bases(vectors):
     return bases
 
 
-def finite_difference_hessian_form(arr, vectors, step=1e-4):
+def finite_difference_hessian_form(arr, vectors, bases, step=1e-4):
     """-1/2 of the central-difference Hessian, at theta = 0, of
     theta -> <T, y_1 (x) ... (x) y_d> with y_i = (x_i + Q_i theta_i) / |.|.
 
-    Q_i comes from :func:`tangent_bases`; the objective is contracted mode
-    by mode with ``np.tensordot``. Returns a dense matrix with blocks of
-    size (m_i - 1).
+    Q_i is ``bases[i]``; the objective is contracted mode by mode with
+    ``np.tensordot``. Returns a dense matrix with blocks of size (m_i - 1).
     """
-    bases = tangent_bases(vectors)
     offsets = np.concatenate([[0], np.cumsum([q.shape[1] for q in bases])])
     total = int(offsets[-1])
 

@@ -16,7 +16,7 @@ import rank1tensor.cli as cli
 from rank1tensor import Tensor, UnitTuple, f_value, residual_norm
 from rank1tensor.ami import analyze
 from rank1tensor.bench import CSV_HEADER, DatasetSpec, generate
-from rank1tensor.core import contract_vectors, contract_vectors_pair
+from rank1tensor.kernels import contract_all_but_one, contract_all_but_two
 from rank1tensor.diagnostics import (
     check_semi_max,
     criticality,
@@ -157,9 +157,11 @@ def test_criterion_05_pair_step_dominance():
         t = Tensor(rng.standard_normal(dims))
         u = UnitTuple([rng.standard_normal(m) for m in dims], normalize=True)
         i, j = sorted(int(x) for x in rng.choice(3, size=2, replace=False))
-        a_i = float(np.linalg.norm(contract_vectors(t, u, i)))
-        a_j = float(np.linalg.norm(contract_vectors(t, u, j)))
-        b_ij = top_singular_triple(contract_vectors_pair(t, u, i, j), mode="dense").sigma
+        a_i = float(np.linalg.norm(contract_all_but_one(t.array, u.vectors, i)))
+        a_j = float(np.linalg.norm(contract_all_but_one(t.array, u.vectors, j)))
+        b_ij = top_singular_triple(
+            contract_all_but_two(t.array, u.vectors, i, j), mode="dense"
+        ).sigma
         if b_ij < max(a_i, a_j) - 1e-12:
             violations += 1
     ok = violations == 0

@@ -10,6 +10,7 @@ from rank1tensor.ami import (
     gauss_seidel_matrix,
     hessian_form_at,
 )
+from rank1tensor.core import f_from_arrays, tangent_basis, tangent_hessian
 from rank1tensor.linalg import inertia
 from rank1tensor.solvers import SolverConfig, als_sweep, init_random, solve
 
@@ -288,9 +289,34 @@ class TestHessianFormBridge:
         else:
             u = init_random(dims, seed=4)
         h = hessian_form_at(t, u).h
-        reference = oracles.finite_difference_hessian_form(t.array, u.vectors)
+        bases = [tangent_basis(x) for x in u.vectors]
+        reference = oracles.finite_difference_hessian_form(t.array, u.vectors, bases)
         assert h.shape == reference.shape
         assert np.max(np.abs(h - reference)) <= 1e-6 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 5, 4), (6, 5, 4, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tangent_chart_does_not_change_the_analysis(self, dims, seed):
+        # another orthonormal basis of each tangent plane changes H by a
+        # block-diagonal orthogonal congruence and K by a similarity
+        t = Tensor(np.random.default_rng([seed, *dims]).standard_normal(dims))
+        cfg = SolverConfig(seed=seed, max_iterations=2000, fitchange_tol=1e-12)
+        u = solve(t, cfg).axes
+        f = f_from_arrays(t.array, u.vectors)
+        h_qr = tangent_hessian(t.array, u.vectors, oracles.tangent_bases(u.vectors), f)
+        qr = analyze(BlockQuadraticForm(h_qr, [m - 1 for m in dims]))
+        hh = analyze(hessian_form_at(t, u))
+        assert (hh.alpha, hh.beta, hh.gamma) == (qr.alpha, qr.beta, qr.gamma)
+        assert hh.inertia == qr.inertia
+        assert hh.spectral_radius == pytest.approx(qr.spectral_radius, rel=1e-12)
+        assert np.sort(np.abs(hh.eigenvalues)) == pytest.approx(
+            np.sort(np.abs(qr.eigenvalues)), rel=1e-12, abs=1e-12
+        )
+
+    def test_mode_of_size_one_rejected(self):
+        t = Tensor(np.random.default_rng(6).standard_normal((3, 1, 2)))
+        with pytest.raises(InvalidInputError, match="m_i >= 2"):
+            hessian_form_at(t, init_random(t.dims, seed=0))
 
     def test_step_keyword_rejected(self):
         t = Tensor(np.random.default_rng(5).standard_normal((3, 3, 3)))
@@ -338,7 +364,7 @@ class TestHessianFormBridge:
         # K times it, up to a remainder of second order in the error
         t, tuples, errors = als_tail(dims, seed)
         k = gauss_seidel_matrix(hessian_form_at(t, tuples[-1]))
-        basis = block_diag(oracles.tangent_bases(tuples[-1].vectors))
+        basis = block_diag([tangent_basis(x) for x in tuples[-1].vectors])
         jacobian = basis @ k @ basis.T
         limit = np.concatenate(tuples[-1].vectors)
         window = [i for i in range(len(errors) - 1) if 1e-8 <= errors[i] <= 1e-4]

@@ -3,15 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from rank1tensor import InvalidInputError, DimensionError, Tensor
-from rank1tensor.bench import (
-    CSV_HEADER,
-    DatasetSpec,
-    downsample2,
-    generate,
-    run_bench,
-    write_volume,
-)
+from rank1tensor import InvalidInputError
+from rank1tensor.bench import CSV_HEADER, DatasetSpec, generate, run_bench
 from rank1tensor.solvers import SolverConfig, solve
 
 
@@ -68,7 +61,7 @@ class TestVolumeFiles:
                 DatasetSpec(kind="random_uniform", dims=(4, 3, 2), seed=5, bits=bits)
             )
             path = tmp_path / f"vol{bits}.raw"
-            write_volume(src, path, bits=bits)
+            src.array.astype("<u1" if bits == 8 else "<u2").tofile(path)
             back = generate(
                 DatasetSpec(
                     kind="volume_file", dims=(4, 3, 2), bits=bits, path=str(path)
@@ -82,32 +75,6 @@ class TestVolumeFiles:
         spec = DatasetSpec(kind="volume_file", dims=(4, 4, 4), bits=8, path=str(path))
         with pytest.raises(InvalidInputError):
             generate(spec)
-
-
-class TestDownsample2:
-    def test_constant_stays_constant(self):
-        t = Tensor(np.full((4, 4, 4), 3.25))
-        out = downsample2(t)
-        assert out.dims == (2, 2, 2)
-        assert np.all(out.array == 3.25)
-
-    def test_eight_cell_mean(self):
-        t = Tensor(np.arange(8.0).reshape(2, 2, 2))
-        out = downsample2(t)
-        assert out.dims == (1, 1, 1)
-        assert out.array[0, 0, 0] == 3.5
-
-    def test_spot_blocks_against_hand_means(self):
-        rng = np.random.default_rng(6)
-        t = Tensor(rng.standard_normal((4, 4, 4)))
-        out = downsample2(t)
-        for (i, j, k) in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-            block = t.array[2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 2 * k : 2 * k + 2]
-            assert out.array[i, j, k] == pytest.approx(block.mean(), rel=1e-14)
-
-    def test_odd_dims_rejected(self):
-        with pytest.raises(DimensionError):
-            downsample2(Tensor(np.zeros((3, 4, 4))))
 
 
 def strip_timing(csv_text):
@@ -128,7 +95,7 @@ class TestRunBench:
         arr = np.zeros((4, 4, 4))
         arr[0, 1, 0] = 7.0
         path = tmp_path / "plant.raw"
-        write_volume(Tensor(arr), path, bits=8)
+        arr.astype("<u1").tofile(path)
         spec = DatasetSpec(kind="volume_file", dims=(4, 4, 4), bits=8, path=str(path))
         rows, _ = run_bench([spec], ["als", "asvd", "mals", "masvd"], runs=3)
         for row in rows:
@@ -150,7 +117,7 @@ class TestRunBench:
     def test_solver_errors_recorded_not_raised(self, tmp_path):
         # an all-zero volume cannot be decomposed; the row reports the error
         path = tmp_path / "zero.raw"
-        write_volume(Tensor(np.zeros((2, 2, 2))), path, bits=8)
+        np.zeros((2, 2, 2)).astype("<u1").tofile(path)
         spec = DatasetSpec(kind="volume_file", dims=(2, 2, 2), bits=8, path=str(path))
         rows, csv_text = run_bench([spec], ["als"], runs=2)
         assert len(csv_text.strip().splitlines()) == 3

@@ -210,6 +210,25 @@ class TestVerify:
         got = float(reports[scale]["max_residual"])
         assert got == pytest.approx(scale * unit, rel=1e-6, abs=1e-12 * scale * t.norm())
 
+    @pytest.mark.parametrize("scale", [1e-170, 3e-160, 1e200])
+    @pytest.mark.parametrize("bump", [0.0, 1e-2])
+    def test_extreme_scale_tuple_verifies_as_unscaled(
+        self, plant_files, tmp_path, capsys, scale, bump
+    ):
+        # the planted axes pass (exit 0) and bumped ones fail (exit 3) at
+        # any finite scale of the tuple file's entries
+        _, axes, tensor_path, _ = plant_files
+        rng = np.random.default_rng(5)
+        vectors = [v + bump * rng.standard_normal(v.size) for v in axes.vectors]
+        codes = []
+        for factor in (1.0, scale):
+            rows = [" ".join(f"{factor * x:.17g}" for x in v) for v in vectors]
+            tuple_path = tmp_path / f"axes{factor}.txt"
+            tuple_path.write_text("3\n3 3 3\n" + "\n".join(rows) + "\n")
+            codes.append(cli.main(["verify", "--input", tensor_path, "--tuple", str(tuple_path)]))
+            capsys.readouterr()
+        assert codes[0] == codes[1] == (3 if bump else 0)
+
     def test_off_sphere_tuple_warns_and_normalizes(self, plant_files, tmp_path, capsys):
         t, axes, tensor_path, _ = plant_files
         text = io.format_tuple_text(axes).splitlines()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ class TestTupleText:
         with pytest.raises(ParseError) as exc:
             io.parse_tuple_text("2\n2 2\n0 0\n0 1\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("scale", [1e-170, 3e-160, 1e200])
+    def test_extreme_finite_scale(self, scale):
+        # |v|^2 underflows or overflows; the tuple parses to the unscaled
+        # one, without a NumPy warning
+        u = random_tuple((3, 5, 2), 2)
+        head = io.format_tuple_text(u).splitlines()[:2]
+        rows = [" ".join(f"{scale * x:.17g}" for x in v) for v in u.vectors]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back, adjusted = io.parse_tuple_text("\n".join(head + rows) + "\n")
+        assert adjusted
+        assert all(np.allclose(a, b, rtol=0.0, atol=1e-15) for a, b in zip(back, u))
+
+    def test_ordinary_scale_divides_by_the_norm(self):
+        rng = np.random.default_rng(3)
+        vectors = [3.0 * rng.standard_normal(m) for m in (4, 3)]
+        rows = [" ".join(f"{x:.17g}" for x in v) for v in vectors]
+        back, adjusted = io.parse_tuple_text("2\n4 3\n" + "\n".join(rows) + "\n")
+        assert adjusted
+        for a, v in zip(back, vectors):
+            assert a.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
     def test_non_finite_entry_line_number(self):
         with pytest.raises(ParseError, match="non-finite") as exc:

@@ -7,7 +7,6 @@ from rank1tensor.linalg import (
     SQUARING_MIN_SIDE,
     _certified_top_eigvec,
     inertia,
-    symmetric_eig,
     top_singular_triple,
 )
 
@@ -34,29 +33,6 @@ class TestOracleSelfChecks:
     def test_charpoly_inertia_on_diagonal(self):
         s = np.diag([3.0, -1.0, 2.0, -5.0])
         assert oracles.charpoly_inertia(s) == (2, 2, 0)
-
-
-class TestSymmetricEig:
-    def test_identity(self):
-        w, _ = symmetric_eig(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = symmetric_eig(np.diag([-2.0, 0.0, 7.0]))
-        assert np.allclose(w, [-2.0, 0.0, 7.0])
-
-    def test_residuals_self_certify(self):
-        s = random_symmetric(6, 0)
-        w, v = symmetric_eig(s)
-        scale = np.linalg.norm(s, 2)
-        assert np.linalg.norm(s @ v - v * w) <= 1e-9 * scale
-        assert np.max(np.abs(v.T @ v - np.eye(6))) <= 1e-10
-
-    def test_asymmetric_rejected(self):
-        s = random_symmetric(4, 1)
-        s[0, 1] += 1.0
-        with pytest.raises(InvalidInputError):
-            symmetric_eig(s)
 
 
 class TestInertia:
@@ -208,7 +184,7 @@ class TestTopSingularTripleIterative:
                 a = self.plus_minus_sigma(n, 42 + seed)
                 sigma = 5.0
             gram = a @ a.T
-            assert _certified_top_eigvec(gram) is None
+            assert _certified_top_eigvec(gram, gram.trace()) is None
             trip = top_singular_triple(a)
             assert trip.squarings == 0  # the dense route answered
             assert trip.sigma == pytest.approx(sigma, rel=1e-13)

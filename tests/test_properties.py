@@ -8,10 +8,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rank1tensor import Tensor  # noqa: E402
+from rank1tensor import Tensor, residual_norm  # noqa: E402
 from rank1tensor.solvers import SolverConfig, solve  # noqa: E402
 
-from conftest import random_tensor, tuple_matches  # noqa: E402
+from conftest import random_tensor, random_tuple, tuple_matches  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -35,3 +35,18 @@ def test_scale_equivariance(exponent, seed, method):
     assert got.lambda_ / norm <= 1.0 + 1e-12
     assert math.hypot(got.lambda_ / norm, got.residual / norm) == pytest.approx(1.0, abs=1e-10)
     assert np.isfinite(list(got.trace.f_sequence())).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    exponent=st.floats(min_value=-300.0, max_value=300.0),
+    seed=st.integers(min_value=0, max_value=20),
+)
+def test_residual_norm_scales(exponent, seed):
+    # residual_norm(cT, u) = c * residual_norm(T, u), also where |cT|^2
+    # overflows or underflows
+    c = 10.0**exponent
+    t = random_tensor((3, 3, 3), seed)
+    u = random_tuple((3, 3, 3), seed)
+    got = residual_norm(Tensor(c * t.array), u)
+    assert got == pytest.approx(c * residual_norm(t, u), rel=1e-12, abs=0.0)

@@ -15,12 +15,7 @@ from rank1tensor import (
     UnsupportedError,
     f_value,
 )
-from rank1tensor.core import (
-    contract_vectors,
-    contract_vectors_pair,
-    tangent_basis,
-    tangent_hessian,
-)
+from rank1tensor.core import tangent_basis, tangent_hessian
 from rank1tensor import cli, kernels, linalg, solvers
 from rank1tensor.diagnostics import check_semi_max
 from rank1tensor.linalg import top_singular_triple
@@ -183,9 +178,12 @@ class TestAsvdSweep:
     def test_pair_step_reaches_top_singular_value(self, fixture_3cube):
         t = fixture_3cube
         u = random_tuple((3, 3, 3), 7)
-        after = asvd_sweep(t, u, schedule=[(1, 2)])
-        mat = contract_vectors_pair(t, u, 1, 2)
-        assert f_value(t, after) == pytest.approx(oracles.top_sigma(mat), rel=1e-10)
+        # the default d = 3 schedule starts with the pair (1, 2)
+        cfg = SolverConfig(method="asvd", max_iterations=1, fitchange_tol=1e-30)
+        trace = solve(t, cfg, initial=u).trace
+        mat = kernels.contract_all_but_two(t.array, u.vectors, 1, 2)
+        assert trace.steps[0][0] == (1, 2)
+        assert trace.f_after[0] == pytest.approx(oracles.top_sigma(mat), rel=1e-10)
 
     def test_needs_three_modes(self):
         with pytest.raises(UnsupportedError):
@@ -199,10 +197,10 @@ class TestAsvdSweep:
             t = Tensor(rng.standard_normal(dims))
             u = UnitTuple([rng.standard_normal(m) for m in dims], normalize=True)
             i, j = sorted(int(x) for x in rng.choice(3, size=2, replace=False))
-            a_i = np.linalg.norm(contract_vectors(t, u, i))
-            a_j = np.linalg.norm(contract_vectors(t, u, j))
+            a_i = np.linalg.norm(kernels.contract_all_but_one(t.array, u.vectors, i))
+            a_j = np.linalg.norm(kernels.contract_all_but_one(t.array, u.vectors, j))
             b_ij = top_singular_triple(
-                contract_vectors_pair(t, u, i, j), mode="dense"
+                kernels.contract_all_but_two(t.array, u.vectors, i, j), mode="dense"
             ).sigma
             assert b_ij >= max(a_i, a_j) - 1e-12
 
@@ -240,10 +238,10 @@ class TestMalsSweep:
             SolverConfig(method="mals", max_iterations=1, fitchange_tol=1e-30),
             initial=axes,
         )
-        first = result.trace.iterations[0].substeps[0]
-        assert first.chosen == 0
+        chosen, candidates = first_step(result.trace)
+        assert chosen == 0
         assert all(
-            val == pytest.approx(2.0, rel=1e-10) for val in first.candidates.values()
+            val == pytest.approx(2.0, rel=1e-10) for val in candidates.values()
         )
         assert tuple_matches(result.axes, axes, 1e-10)
 
@@ -263,9 +261,9 @@ class TestMalsSweep:
             SolverConfig(method="mals", max_iterations=1, fitchange_tol=1e-30),
             initial=u,
         )
-        first = result.trace.iterations[0].substeps[0]
-        assert first.chosen == max(expected, key=expected.get)
-        for i, val in first.candidates.items():
+        chosen, candidates = first_step(result.trace)
+        assert chosen == max(expected, key=expected.get)
+        for i, val in candidates.items():
             assert val == pytest.approx(expected[i], rel=1e-12)
 
     def test_unchanged_vector_keeps_candidates(self):
@@ -299,15 +297,15 @@ class TestMasvdSweep:
         expected = {}
         for k in range(3):
             i, j = (m for m in range(3) if m != k)
-            expected[k] = oracles.top_sigma(contract_vectors_pair(t, u, i, j))
+            expected[k] = oracles.top_sigma(kernels.contract_all_but_two(t.array, u.vectors, i, j))
         result = solve(
             t,
             SolverConfig(method="masvd", max_iterations=1, fitchange_tol=1e-30),
             initial=u,
         )
-        first = result.trace.iterations[0].substeps[0]
-        assert first.chosen == max(expected, key=expected.get)
-        for k, val in first.candidates.items():
+        chosen, candidates = first_step(result.trace)
+        assert chosen == max(expected, key=expected.get)
+        for k, val in candidates.items():
             assert val == pytest.approx(expected[k], rel=1e-10)
 
     def test_candidate_equals_sigma_of_frozen_mode_matrix(self, fixture_3cube):
@@ -319,9 +317,9 @@ class TestMasvdSweep:
             SolverConfig(method="masvd", max_iterations=1, fitchange_tol=1e-30),
             initial=u,
         )
-        first = result.trace.iterations[0].substeps[0]
-        mat = contract_vectors_pair(t, u, 0, 2)
-        assert first.candidates[1] == pytest.approx(oracles.top_sigma(mat), rel=1e-10)
+        _, candidates = first_step(result.trace)
+        mat = kernels.contract_all_but_two(t.array, u.vectors, 0, 2)
+        assert candidates[1] == pytest.approx(oracles.top_sigma(mat), rel=1e-10)
 
     def test_only_three_modes_supported(self):
         t = random_tensor((2, 2, 2, 2), 16)
@@ -469,8 +467,8 @@ class TestSolve:
             rtol=1e-12,
             atol=0.0,
         )
-        assert got.trace.iterations[-1].f_after == pytest.approx(
-            scale * base.trace.iterations[-1].f_after, rel=1e-12, abs=0.0
+        assert sweep_fs(got.trace)[-1] == pytest.approx(
+            scale * sweep_fs(base.trace)[-1], rel=1e-12, abs=0.0
         )
 
     def test_norm_beyond_float_range_rejected(self):
@@ -483,7 +481,7 @@ class TestSolve:
 def reference_als_sweep(arr, vecs):
     """One cyclic sweep, one full contraction per mode."""
     for i in range(arr.ndim):
-        v = contract_vectors(Tensor(arr), UnitTuple(vecs), i)
+        v = kernels.contract_all_but_one(arr, vecs, i)
         vecs[i] = v / np.linalg.norm(v)
     return arr.ndim
 
@@ -500,7 +498,7 @@ def reference_mals_sweep(arr, vecs):
         for i in remaining:
             stamps = tuple(versions[j] for j in range(d) if j != i)
             if i not in cache or cache[i][2] != stamps:
-                v = contract_vectors(Tensor(arr), UnitTuple(vecs), i)
+                v = kernels.contract_all_but_one(arr, vecs, i)
                 calls += 1
                 cache[i] = (np.linalg.norm(v), v / np.linalg.norm(v), stamps)
         best = max(remaining, key=lambda i: (cache[i][0], -i))
@@ -638,19 +636,33 @@ def reference_records(t, method, u, sweeps):
 
 
 def record_tuples(trace):
-    return [
-        (
-            r.index,
-            r.f_before,
-            r.f_after,
-            r.opt_calls,
-            [
-                (s.modes, s.f_after, s.chosen, None if s.candidates is None else list(s.candidates.items()))
-                for s in r.substeps
-            ],
-        )
-        for r in trace.iterations
-    ]
+    """The records of :func:`reference_records`, read from the trace's
+    columns: sweep k holds the sub-steps up to ``sweep_ends[k]``, and a
+    greedy step's candidate values follow one another in ``candidates``."""
+    records, f_before, start, offset = [], trace.f_initial, 0, 0
+    for k, end in enumerate(trace.sweep_ends):
+        steps = []
+        for s in range(start, end):
+            modes, chosen, keys = trace.steps[s]
+            items = list(zip(keys, trace.candidates[offset : offset + len(keys)]))
+            offset += len(keys)
+            steps.append((modes, trace.f_after[s], chosen, items or None))
+        records.append((k + 1, f_before, steps[-1][1], trace.opt_calls[k], steps))
+        f_before, start = steps[-1][1], end
+    return records
+
+
+def sweep_fs(trace, sweeps=None):
+    """f at the start and at the end of each of the first ``sweeps`` sweeps
+    (all when None)."""
+    ends = trace.sweep_ends[:sweeps]
+    return [trace.f_initial, *(trace.f_after[end - 1] for end in ends)]
+
+
+def first_step(trace):
+    """(chosen, {mode: candidate value}) of a solve's first sub-step."""
+    _, chosen, keys = trace.steps[0]
+    return chosen, dict(zip(keys, trace.candidates))
 
 
 #: ``decompose --max-iters 3 --trace`` rows on TRACE_TENSOR_4X4X4, as the
@@ -728,9 +740,9 @@ class TestColumnarTrace:
         assert result.iterations == 6
         assert record_tuples(result.trace) == reference_records(t, method, u, 6)
         assert list(result.trace.f_sequence()) == [result.trace.f_initial] + [
-            s.f_after for r in result.trace.iterations for s in r.substeps
+            s[1] for r in record_tuples(result.trace) for s in r[4]
         ]
-        assert all(r.wall_seconds >= 0.0 for r in result.trace.iterations)
+        assert all(w >= 0.0 for w in result.trace.wall_seconds)
 
     @pytest.mark.parametrize("method", ["mals", "masvd"])
     def test_candidates_rescaled_at_extreme_scale(self, method):
@@ -840,14 +852,15 @@ class TestNewtonFinish:
     def test_accepted_steps_keep_the_trace_monotone(self, method):
         t = random_tensor((8, 8, 8), 93)
         result = solve(t, SolverConfig(method=method, seed=94, **TIGHT))
-        steps = [s for r in result.trace.iterations for s in r.substeps if s.modes == (0, 1, 2)]
+        records = record_tuples(result.trace)
+        steps = [s for r in records for s in r[4] if s[0] == (0, 1, 2)]
         assert steps, "the finish took no step"
-        assert all(s.chosen is None and s.candidates is None for s in steps)
+        assert all(chosen is None and items is None for _, _, chosen, items in steps)
         assert monotone(result.trace, t.norm())
         # the accepted steps sit inside the last sweep, which iterations counts
-        last = result.trace.iterations[-1]
-        assert last.index == result.iterations and last.substeps[-1].modes == (0, 1, 2)
-        assert last.f_after == pytest.approx(result.lambda_, rel=1e-14)
+        index, _, f_last, _, substeps = records[-1]
+        assert index == result.iterations and substeps[-1][0] == (0, 1, 2)
+        assert f_last == pytest.approx(result.lambda_, rel=1e-14)
 
     @pytest.mark.parametrize("dims", [(8, 8, 8), (6, 5, 4), (4, 3, 5, 3), (7, 5), (1, 4, 3)])
     def test_step_is_the_dense_newton_step(self, dims):
@@ -961,7 +974,7 @@ class TestNewtonFinish:
         monkeypatch.setattr(solvers, "_newton_finish", reject)
         result = solve(t, SolverConfig(method="als", seed=110, **TIGHT))
         assert result.converged_by == "fitchange"
-        fs = [result.trace.f_initial, *(r.f_after for r in result.trace.iterations)]
+        fs = sweep_fs(result.trace)
         eligible = [
             abs(b - a) / nrm for a, b in zip(fs, fs[1:])
             if 1e-12 <= abs(b - a) / nrm < solvers.NEWTON_FIT_CHANGE
@@ -1021,7 +1034,7 @@ class TestNewtonFinish:
                     assert stationarity(t, result.axes) <= tol**0.75
                     continue
                 assert result.converged_by == "fitchange"
-                fs = [result.trace.f_initial, *(r.f_after for r in result.trace.iterations)]
+                fs = sweep_fs(result.trace)
                 changes = [abs(b - a) / nrm for a, b in zip(fs, fs[1:])]
                 assert changes[-1] < tol
                 assert all(c >= solvers.NEWTON_FIT_CHANGE for c in changes[:-1])
@@ -1081,7 +1094,7 @@ class TestNewtonFinish:
         result = solve(t, SolverConfig(method=method, seed=114, **TIGHT))
         assert result.converged_by == "stationary"
         sweep, change = first[0]
-        fs = [result.trace.f_initial, *(r.f_after for r in result.trace.iterations[:sweep])]
+        fs = sweep_fs(result.trace, sweep)
         assert change < 1e-4
         assert all(abs(b - a) / nrm >= 1e-4 for a, b in zip(fs, fs[1:]))
 
@@ -1146,7 +1159,7 @@ class TestTangentCoordinates:
         assert tangent_basis(np.array([-1.0])).shape == (1, 0)
 
     def test_hessian_changes_with_the_bases_as_a_congruence(self):
-        # the finish's Householder coordinates and hessian_form_at's QR ones
+        # the library's Householder coordinates and the oracle's QR ones
         # give congruent H: D^T H_qr D with D = blockdiag(Q_qr^T Q_hh)
         t = random_tensor((5, 4, 3), 103)
         u = random_tuple((5, 4, 3), 104)

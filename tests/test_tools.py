@@ -217,6 +217,25 @@ def test_tight_counts_count_opt_calls_and_rejected_attempts(monkeypatch):
     assert solvers._newton_finish is reject_first
 
 
+def test_tight_counts_count_the_steps_the_finish_records(monkeypatch):
+    # newton_steps, read from trace.steps, equals the sub-steps that the
+    # finish calls appended to the trace
+    from rank1tensor import solvers
+
+    finish = solvers._newton_finish
+    recorded = []
+
+    def count(arr, vecs, trace, target, slack):
+        before = len(trace.steps)
+        s = finish(arr, vecs, trace, target, slack)
+        recorded.append(len(trace.steps) - before)
+        return s
+
+    monkeypatch.setattr(solvers, "_newton_finish", count)
+    rows = perf_ab.tight_counts(solves=2)
+    assert sum(2 * r["newton_steps"]["mean"] for r in rows) == sum(recorded) > 0
+
+
 def test_compare_lambdas_moves_lambdas_out():
     parent = [{"lambdas": [2.0, 4.0]}, {"lambdas": [1.0]}]
     change = [{"lambdas": [2.0, 4.0 + 4e-12]}, {"lambdas": [1.0]}]

@@ -364,7 +364,7 @@ def tight_counts(solves=TIGHT_SOLVES):
                 counts["newton_attempts"].append(attempts["all"])
                 counts["rejected_attempts"].append(attempts["rejected"])
                 counts["newton_steps"].append(
-                    sum(s.modes == every for r in result.trace.iterations for s in r.substeps)
+                    sum(modes == every for modes, _, _ in result.trace.steps)
                 )
                 stationary += result.converged_by == "stationary"
                 lambdas.append(result.lambda_)
