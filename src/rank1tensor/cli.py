@@ -80,11 +80,10 @@ def cmd_decompose(args):
             start = 0
             for k, end in enumerate(trace.sweep_ends):
                 for s in range(start, end):
-                    step_modes, step_chosen, _ = trace.steps[s]
-                    modes = "+".join(str(m) for m in step_modes)
-                    chosen = "" if step_chosen is None else str(step_chosen)
+                    modes, chosen, _ = trace.steps[s]
                     fh.write(
-                        f"{k + 1},{s - start},{modes},{chosen},"
+                        f"{k + 1},{s - start},{'+'.join(map(str, modes))},"
+                        f"{'' if chosen is None else chosen},"
                         f"{trace.f_after[s]:.17g},{trace.opt_calls[k]}\n"
                     )
                 start = end

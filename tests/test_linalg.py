@@ -49,10 +49,11 @@ class TestInertia:
             assert tuple(inertia(s)) == oracles.charpoly_inertia(s)
 
     def test_asymmetric_and_non_square_rejected(self):
-        s = random_symmetric(4, 3)
-        s[0, 1] += 1.0
-        with pytest.raises(InvalidInputError):
-            inertia(s)
+        for seed in (1, 3):
+            s = random_symmetric(4, seed)
+            s[0, 1] += 1.0
+            with pytest.raises(InvalidInputError):
+                inertia(s)
         with pytest.raises(InvalidInputError):
             inertia(np.ones((2, 3)))
 

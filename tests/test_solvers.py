@@ -297,7 +297,8 @@ class TestMasvdSweep:
         expected = {}
         for k in range(3):
             i, j = (m for m in range(3) if m != k)
-            expected[k] = oracles.top_sigma(kernels.contract_all_but_two(t.array, u.vectors, i, j))
+            mat = kernels.contract_all_but_two(t.array, u.vectors, i, j)
+            expected[k] = oracles.top_sigma(mat)
         result = solve(
             t,
             SolverConfig(method="masvd", max_iterations=1, fitchange_tol=1e-30),
