@@ -244,6 +244,17 @@ def contract(t, modes, x):
     return Tensor(out, copy=False)
 
 
+def mode_residual(x, v):
+    """``(x . v, |v - (x . v) x|)``: the multiplier and the stationarity
+    residual of one mode, from its unit vector ``x`` and its all-but-one
+    contraction ``v``. The difference is formed directly, since
+    sqrt(|v|^2 - (x . v)^2) cancels below about 1e-8; sqrt(r . r) is what
+    ``np.linalg.norm(r)`` computes, without its wrapper."""
+    lam = float(np.dot(x, v))
+    r = v - lam * x
+    return lam, math.sqrt(np.dot(r, r))
+
+
 def tangent_basis(x):
     """Orthonormal columns spanning the plane orthogonal to the unit vector
     ``x``: the last m - 1 columns of the Householder reflector
@@ -275,9 +286,10 @@ def tangent_hessian(arr, vectors, bases, f):
         rows = slice(offsets[i], offsets[i + 1])
         for j in range(i + 1, len(bases)):
             cols = slice(offsets[j], offsets[j + 1])
-            m_ij = kernels.contract_all_but_two(arr, vectors, i, j)
-            h[rows, cols] = -0.5 * (q_i.T @ m_ij @ bases[j])
-            h[cols, rows] = h[rows, cols].T
+            block = q_i.T @ kernels.contract_all_but_two(arr, vectors, i, j) @ bases[j]
+            block *= -0.5
+            h[rows, cols] = block
+            h[cols, rows] = block.T
     return h
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .core import UnitTuple, f_from_arrays, split_scale
+from .core import UnitTuple, f_from_arrays, mode_residual, split_scale
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
 #: default margin for exact-arithmetic identities, relative to |T|
@@ -73,10 +73,10 @@ def criticality(t, u):
     arr, scale, _ = split_scale(t.array)
     lambdas = []
     residuals = []
-    for i, v in enumerate(kernels.all_contractions(arr, u.vectors)):
-        lam = float(np.dot(u.vectors[i], v))
+    for x, v in zip(u.vectors, kernels.all_contractions(arr, u.vectors)):
+        lam, residual = mode_residual(x, v)
         lambdas.append(scale * lam)
-        residuals.append(scale * float(np.linalg.norm(v - lam * u.vectors[i])))
+        residuals.append(scale * residual)
     return CriticalityReport(
         lambda_per_mode=lambdas,
         residual_per_mode=residuals,

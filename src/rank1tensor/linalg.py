@@ -136,15 +136,18 @@ def top_singular_triple(a, mode="auto"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     wide = a.shape[0] <= a.shape[1]
     gram = a @ a.T if wide else a.T @ a
-    # a positive trace proves a nonzero; only otherwise is a scanned
-    trace = gram.trace()
-    if not trace > 0.0 and not np.any(a):
-        raise DegenerateInputError("matrix is identically zero")
+    # a positive trace, or top eigenvalue, of the Gram matrix proves a
+    # nonzero; only otherwise is a scanned
     found = None
     if mode == "auto" and gram.shape[0] >= SQUARING_MIN_SIDE:
+        trace = gram.trace()
+        if not trace > 0.0 and not np.any(a):
+            raise DegenerateInputError("matrix is identically zero")
         found = _certified_top_eigvec(gram, trace)
     if found is None:
-        _, vecs = np.linalg.eigh(gram)
+        w, vecs = np.linalg.eigh(gram)
+        if not (w.size and w[-1] > 0.0) and not np.any(a):
+            raise DegenerateInputError("matrix is identically zero")
         found = np.ascontiguousarray(vecs[:, -1]), 0
     x, squarings = found
     y = a.T @ x if wide else a @ x

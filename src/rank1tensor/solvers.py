@@ -16,10 +16,15 @@ product of unit spheres:
   each not-yet-fixed mode k, the candidate freezes x_k and replaces the
   other two vectors by the top singular pair of the contracted matrix.
   Guarantees accumulation at points maximal in every pair of modes.
+  A candidate depends on x_k alone, so a solve keeps it until x_k changes:
+  the candidate a sweep applies last is still valid when the next sweep
+  starts, and that sweep looks it up, making five pair steps instead of six
+  (a Newton finish attempt drops every kept candidate).
 
-Every candidate-generating contraction counts as one optimization call; a
-solve records it, and each sub-step's objective, in the columns of a
-:class:`SolverTrace`. The single-mode methods form their contractions with
+Every candidate-generating contraction counts as one optimization call,
+however the candidate is obtained (a masvd candidate looked up from the
+previous sweep counts too); a solve records the calls, and each sub-step's
+objective, in the columns of a :class:`SolverTrace`. The single-mode methods form their contractions with
 :func:`kernels.contract_each`: an als sweep is one dimension-tree pass and
 each mals round computes all of its stale candidates in one call, so an als
 sweep reads the tensor twice and a mals sweep d + 1 times.
@@ -65,6 +70,7 @@ from .core import (
     UnitTuple,
     f_from_arrays,
     f_value,
+    mode_residual,
     residual_from,
     split_scale,
     tangent_basis,
@@ -267,9 +273,14 @@ def _random_start(dims, seed, t):
 
 def init_hosvd(t):
     """Per-mode top left singular vector of the unfolding (higher-order SVD
-    start). More expensive than a random start but often closer."""
-    if t.norm() == 0.0:
+    start). More expensive than a random start but often closer. A tensor
+    whose sum of squares overflows or underflows is read as T / max|T|,
+    which has the same singular vectors."""
+    arr, _, nrm2 = split_scale(t.array)
+    if nrm2 == 0.0:
         raise DegenerateInputError("cannot initialize from the zero tensor")
+    if arr is not t.array:
+        t = Tensor(arr, copy=False)
     vecs = [
         linalg.top_singular_triple(unfold(t, i), mode="dense").u
         for i in range(t.ndim)
@@ -367,40 +378,48 @@ def _mals_sweep(arr, vecs, trace):
     return f
 
 
-def _masvd_sweep(arr, vecs, trace):
+#: the pair that masvd's candidate k replaces, by frozen mode k
+_MASVD_PAIRS = ((1, 2), (0, 2), (0, 1))
+
+
+def _masvd_sweep(arr, vecs, trace, cache):
     # Candidate k freezes x_k and replaces the other two vectors by the top
-    # singular pair of the contracted matrix; it depends on x_k only, so it
-    # is dropped from the cache when x_k changes.
-    cache = {}
+    # singular pair of the contracted matrix; it depends on x_k only, so
+    # ``cache`` keeps it, across sweeps too, until x_k changes. A
+    # candidate carried into a sweep still counts as an optimization call.
+    trace._calls += len(cache)
     remaining = [0, 1, 2]
-    f = None
     while remaining:
+        candidates = {}
+        best = None
         for k in remaining:
-            if k not in cache:
-                i, j = (m for m in range(3) if m != k)
+            entry = cache.get(k)
+            if entry is None:
+                i, j = _MASVD_PAIRS[k]
                 triple = _pair_update(arr, vecs, i, j, trace)
-                cache[k] = (triple.sigma, triple.u, triple.v)
-        candidates = {k: cache[k][0] for k in remaining}
-        best = max(remaining, key=lambda k: (candidates[k], -k))
-        f, u_new, v_new = cache[best]
-        i, j = (m for m in range(3) if m != best)
-        for m, new in ((i, u_new), (j, v_new)):
-            if (vecs[m] != new).any():
-                cache.pop(m, None)
+                entry = cache[k] = (triple.sigma, triple.u, triple.v)
+            candidates[k] = entry[0]
+            # the largest value, and the lowest mode on ties
+            if best is None or entry[0] > best[0]:
+                best, chosen = entry, k
+        f, u_new, v_new = best
+        i, j = _MASVD_PAIRS[chosen]
+        if (vecs[i] != u_new).any():
+            cache.pop(i, None)
+        if (vecs[j] != v_new).any():
+            cache.pop(j, None)
         vecs[i], vecs[j] = u_new, v_new
-        trace._record(f, (i, j), best, candidates)
-        remaining.remove(best)
+        trace._record(f, (i, j), chosen, candidates)
+        remaining.remove(chosen)
     return f
 
 
 def _f_and_stationarity(vecs, contractions):
-    # f and max_i |v_i - (x_i . v_i) x_i|, the difference formed directly:
-    # sqrt(|v_i|^2 - (x_i . v_i)^2) cancels below about 1e-8
+    # f and max_i |v_i - (x_i . v_i) x_i|
     s = 0.0
     for x, v in zip(vecs, contractions):
-        f = float(np.dot(x, v))
-        r = v - f * x
-        s = max(s, math.sqrt(np.dot(r, r)))
+        f, r = mode_residual(x, v)
+        s = max(s, r)
     return f, s
 
 
@@ -417,19 +436,26 @@ def _newton_step(arr, vecs, contractions, f):
     h = tangent_hessian(arr, vecs, bases, f)
     n0 = bases[0].shape[1]
     c = h[n0:, :n0]
-    schur = h[n0:, n0:] - (2.0 / f) * (c @ c.T)
+    cct = c @ c.T
+    cct *= 2.0 / f
+    schur = h[n0:, n0:]  # H_R, overwritten by S
+    schur -= cct
     try:
         np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
         return None
-    g = np.concatenate([q.T @ v for q, v in zip(bases, contractions)])
-    theta_r = np.linalg.solve(schur, 0.5 * (g[n0:] - (2.0 / f) * (c @ g[:n0])))
-    theta = np.concatenate([(g[:n0] - 2.0 * (c.T @ theta_r)) / f, theta_r])
+    g_0 = bases[0].T @ contractions[0]
+    rhs = np.concatenate([q.T @ v for q, v in zip(bases[1:], contractions[1:])])
+    rhs -= (2.0 / f) * (c @ g_0)
+    rhs *= 0.5
+    theta_r = np.linalg.solve(schur, rhs)
+    theta = np.concatenate([(g_0 - 2.0 * (c.T @ theta_r)) / f, theta_r])
     new, start = [], 0
     for x, q in zip(vecs, bases):
         y = x + q @ theta[start : start + q.shape[1]]
         start += q.shape[1]
-        new.append(y / math.sqrt(np.dot(y, y)))
+        y /= math.sqrt(np.dot(y, y))
+        new.append(y)
     return new, kernels.all_contractions(arr, new)
 
 
@@ -499,7 +525,7 @@ def masvd_sweep(t, u):
     """One greedy best-candidate-first sweep of pair updates (3-mode only)."""
     _check_method_dims("masvd", t.ndim)
     vecs = [v.copy() for v in u.vectors]
-    _masvd_sweep(t.array, vecs, SolverTrace())
+    _masvd_sweep(t.array, vecs, SolverTrace(), {})
     return UnitTuple(vecs)
 
 
@@ -537,6 +563,7 @@ def solve(t, cfg=None, initial=None):
     trace = SolverTrace(f_current)
     if cfg.method == "asvd":
         schedule = default_pair_schedule(d)
+    cache = {}  # masvd's candidates, by frozen mode
 
     # the Newton finish's target: None unless the solve is tight and the
     # target lies above rounding, so every other solve never reaches it. A
@@ -559,13 +586,14 @@ def solve(t, cfg=None, initial=None):
         elif cfg.method == "mals":
             f_after = _mals_sweep(arr, vecs, trace)
         else:
-            f_after = _masvd_sweep(arr, vecs, trace)
+            f_after = _masvd_sweep(arr, vecs, trace, cache)
         fit = f_after / nrm
         change = abs(fit - fit_prev)
         stop = change < tol
         if target is not None and change < retry_below and not (stop and tried):
             tried = True
             s = _newton_finish(arr, vecs, trace, target, NEWTON_F_SLACK * nrm)
+            cache.clear()  # an accepted step may have moved any vector
             if s is None:
                 retry_below = change / 2
             else:

@@ -50,3 +50,32 @@ def test_residual_norm_scales(exponent, seed):
     u = random_tuple((3, 3, 3), seed)
     got = residual_norm(Tensor(c * t.array), u)
     assert got == pytest.approx(c * residual_norm(t, u), rel=1e-12, abs=0.0)
+
+
+def symmetric_part(g):
+    """The average of a 3-mode array over the six permutations of its axes."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return sum(np.transpose(g, p) for p in perms) / 6.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    noise=st.floats(min_value=0.0, max_value=0.1),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_symmetric_inputs_give_symmetric_axes(n, noise, seed):
+    # T = v (x) v (x) v + E with E symmetric and |E| = noise <= 0.1, so the
+    # top rank-one term dominates and the best rank-one approximation is
+    # symmetric; a tight solve of each method from the HOSVD start ends
+    # with x_1 = +-x_2 = +-x_3
+    rng = np.random.default_rng([seed, n])
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    e = symmetric_part(rng.standard_normal((n, n, n)))
+    t = Tensor(np.multiply.outer(np.multiply.outer(v, v), v) + noise * e / np.linalg.norm(e))
+    for method in ("als", "asvd", "mals", "masvd"):
+        cfg = SolverConfig(method=method, init="hosvd", fitchange_tol=1e-12, max_iterations=2000)
+        x, y, z = solve(t, cfg).axes
+        for other in (y, z):
+            assert min(np.linalg.norm(x - other), np.linalg.norm(x + other)) <= 1e-6

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ class TestInitHosvd:
     def test_zero_tensor_rejected(self):
         with pytest.raises(DegenerateInputError):
             init_hosvd(Tensor.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300])
+    def test_extreme_finite_scale(self, scale):
+        # the unfoldings' Gram matrices of cT overflow or underflow; the
+        # start is taken from cT / max|cT|, with no NumPy warning
+        t = random_tensor((3, 3, 3), 18)
+        base = init_hosvd(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = init_hosvd(Tensor(scale * t.array))
+        for a, b in zip(got, base):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e-100, 1e100])
+    def test_ordinary_scale_is_the_unfolding_triple(self, scale):
+        t = Tensor(scale * random_tensor((4, 3, 5), 19).array)
+        from rank1tensor.core import unfold
+
+        for i, got in enumerate(init_hosvd(t)):
+            assert np.array_equal(got, top_singular_triple(unfold(t, i), mode="dense").u)
 
 
 class TestAlsSweep:
@@ -328,6 +349,126 @@ class TestMasvdSweep:
             masvd_sweep(t, random_tuple(t.dims, 17))
         with pytest.raises(UnsupportedError):
             solve(t, SolverConfig(method="masvd"))
+
+
+def reference_masvd_sweep(arr, vecs):
+    """One greedy masvd sweep that recomputes every remaining candidate in
+    every round; returns (f, modes, chosen, {mode: candidate}) per step."""
+    steps = []
+    remaining = [0, 1, 2]
+    while remaining:
+        found = {}
+        for k in remaining:
+            i, j = (m for m in range(3) if m != k)
+            found[k] = top_singular_triple(kernels.contract_all_but_two(arr, vecs, i, j))
+        best = max(remaining, key=lambda k: (found[k].sigma, -k))
+        i, j = (m for m in range(3) if m != best)
+        vecs[i], vecs[j] = found[best].u, found[best].v
+        steps.append((found[best].sigma, (i, j), best, {k: found[k].sigma for k in remaining}))
+        remaining.remove(best)
+    return steps
+
+
+def trace_steps(trace):
+    """(f, modes, chosen, {mode: candidate}) per sub-step of a trace."""
+    out, offset = [], 0
+    for f, (modes, chosen, keys) in zip(trace.f_after, trace.steps):
+        out.append((f, modes, chosen, dict(zip(keys, trace.candidates[offset : offset + len(keys)]))))
+        offset += len(keys)
+    return out
+
+
+def final_axes(arr, vecs):
+    """lambda and axes as solve reports them at ``vecs``: one axis flipped
+    when the objective is negative."""
+    lam = f_value(Tensor(arr), UnitTuple(vecs))
+    return abs(lam), ([-vecs[0], *vecs[1:]] if lam < 0.0 else vecs)
+
+
+class TestMasvdCarry:
+    """The candidate applied last in a masvd sweep froze a vector that no
+    later step changes, so the next sweep looks it up instead of computing
+    it again; it still counts as an optimization call."""
+
+    def pair_steps(self, monkeypatch):
+        calls = []
+
+        def spy(a, mode="auto"):
+            calls.append(a.shape)
+            return top_singular_triple(a, mode)
+
+        monkeypatch.setattr(linalg, "top_singular_triple", spy)
+        return calls
+
+    # while every step moves its vectors; (6, 5, 4) reaches a tuple that
+    # its steps leave unchanged bit for bit after four sweeps, from where
+    # more candidates survive
+    @pytest.mark.parametrize(
+        "dims, sweeps", [((6, 5, 4), 1), ((6, 5, 4), 2), ((6, 5, 4), 4), ((8, 8, 8), 10)]
+    )
+    def test_later_sweeps_make_five_pair_steps(self, dims, sweeps, monkeypatch):
+        t = random_tensor(dims, 150)
+        u = random_tuple(dims, 151)
+        vecs = list(u.vectors)
+        expected = [s for _ in range(sweeps) for s in reference_masvd_sweep(t.array, vecs)]
+        calls = self.pair_steps(monkeypatch)
+        cfg = SolverConfig(method="masvd", max_iterations=sweeps, fitchange_tol=1e-300)
+        result = solve(t, cfg, initial=u)
+        assert result.iterations == sweeps
+        assert len(calls) == 6 + 5 * (sweeps - 1)
+        assert result.optimization_calls == 6 * sweeps
+        assert list(result.trace.opt_calls) == [6 * (k + 1) for k in range(sweeps)]
+        assert trace_steps(result.trace) == expected
+        lam, axes = final_axes(t.array, vecs)
+        assert result.lambda_ == lam
+        assert all(np.array_equal(a, b) for a, b in zip(result.axes, axes))
+
+    def test_public_sweep_starts_without_a_carry(self, monkeypatch):
+        t = random_tensor((5, 6, 4), 152)
+        u = random_tuple(t.dims, 153)
+        calls = self.pair_steps(monkeypatch)
+        once = masvd_sweep(t, u)
+        twice = masvd_sweep(t, once)
+        assert len(calls) == 12
+        vecs = list(u.vectors)
+        reference_masvd_sweep(t.array, vecs)
+        reference_masvd_sweep(t.array, vecs)
+        assert all(np.array_equal(a, b) for a, b in zip(twice, vecs))
+
+    def test_finish_attempt_drops_the_carry(self, monkeypatch):
+        # a finish that moves every vector and then rejects: the next sweep
+        # recomputes all three candidates and still matches the reference
+        t = random_tensor((6, 5, 4), 154)
+        u = random_tuple(t.dims, 155)
+        moves = []
+
+        def move_and_reject(arr, vecs, trace, target, slack):
+            moves.append(len(trace.sweep_ends))
+            for m, x in enumerate(vecs):
+                y = x + 1e-3 * np.roll(x, 1)
+                vecs[m] = y / np.linalg.norm(y)
+            return None
+
+        monkeypatch.setattr(solvers, "_newton_finish", move_and_reject)
+        calls = self.pair_steps(monkeypatch)
+        cfg = SolverConfig(method="masvd", max_iterations=25, fitchange_tol=1e-12)
+        result = solve(t, cfg, initial=u)
+        sweeps = result.iterations
+        moved_before_a_sweep = sum(m < sweeps - 1 for m in moves)
+        assert moved_before_a_sweep >= 1
+        assert len(calls) == 6 * sweeps - (sweeps - 1) + moved_before_a_sweep
+        assert result.optimization_calls == 6 * sweeps
+
+        vecs = list(u.vectors)
+        expected = []
+        for k in range(sweeps):
+            expected += reference_masvd_sweep(t.array, vecs)
+            if k in moves:
+                move_and_reject(t.array, vecs, solvers.SolverTrace(), 0.0, 0.0)
+        assert trace_steps(result.trace) == expected
+        lam, axes = final_axes(t.array, vecs)
+        assert result.lambda_ == lam
+        assert all(np.array_equal(a, b) for a, b in zip(result.axes, axes))
 
 
 class TestSolve:

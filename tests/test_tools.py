@@ -153,6 +153,20 @@ def test_step_timings_cover_sweeps_and_the_newton_step():
     assert all(r["us_per_call"] > 0.0 for r in rows)
 
 
+def test_masvd_solve_timings_cover_both_shapes():
+    rows = perf_ab.masvd_solve_timings(repeats=1, seconds=0.0)
+    assert [(r["dims"], r["step"]) for r in rows] == [
+        ("8x8x8", "masvd_solve"), ("32x32x32", "masvd_solve")
+    ]
+    assert all(r["us_per_call"] > 0.0 for r in rows)
+
+
+def test_update_steps_take_the_sweeps_and_the_masvd_solve(monkeypatch):
+    monkeypatch.setattr(perf_ab, "step_timings", lambda: [{"step": "asvd_sweep"}])
+    monkeypatch.setattr(perf_ab, "masvd_solve_timings", lambda: [{"step": "masvd_solve"}])
+    assert perf_ab.update_step_rows() == [{"step": "asvd_sweep"}, {"step": "masvd_solve"}]
+
+
 def test_best_us_takes_the_fastest_batch():
     delays = iter([0.0, 0.02, 0.001, 0.01])
 
@@ -243,3 +257,27 @@ def test_compare_lambdas_moves_lambdas_out():
     assert parent == [{}, {}]
     assert change[0]["lambda_max_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
     assert change[1] == {"lambda_max_rel_diff": 0.0}
+
+
+def test_tight_counts_count_the_pair_steps(monkeypatch):
+    # pair_steps counts the calls of linalg.top_singular_triple: three per
+    # asvd sweep, and fewer than six per masvd sweep, since a masvd sweep
+    # after the first looks up the candidate the last one applied
+    from rank1tensor import linalg
+
+    triple = linalg.top_singular_triple
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return triple(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "top_singular_triple", spy)
+    rows = perf_ab.tight_counts(solves=2)
+    assert sum(2 * r["pair_steps"]["mean"] for r in rows) == len(calls) > 0
+    asvd = [r for r in rows if r["method"] == "asvd"]
+    assert all(r["pair_steps"]["mean"] == 3 * r["sweeps"]["mean"] for r in asvd)
+    (masvd,) = [r for r in rows if r["method"] == "masvd"]
+    assert masvd["pair_steps"]["mean"] < 6 * masvd["sweeps"]["mean"]
+    # the wrapper is taken out again
+    assert linalg.top_singular_triple is spy

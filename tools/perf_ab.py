@@ -32,14 +32,18 @@ ratio near 1 means BLAS ran on one thread.
 
 Per side it also times the update-step layer, under the same thread count,
 with the package of that side's tree: the best-of-N microseconds of one
-asvd sweep, one masvd sweep and, where the side has it, one step of the
-solver's Newton finish, at 8^3 and 32^3 (``update_steps`` in the output).
+asvd sweep, one masvd sweep, where the side has it one step of the
+solver's Newton finish, and a 10-sweep masvd solve from a fixed random
+start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
+starts with nothing to carry over; the solve shows what a masvd sweep
+reuses from the one before it.
 The sides take STEP_ROUNDS turns each, alternating which goes first, and
 each keeps its best.
 
 Per side it also counts, in that side's child, what the tol-1e-12 solves of
 the tight cells perfbench times (32^3 asvd, 8^3 asvd, 8^3 masvd) do: the
-median and mean sweeps, optimization calls, calls of the solver's Newton
+median and mean sweeps, optimization calls, pair steps (calls of
+``linalg.top_singular_triple``), calls of the solver's Newton
 finish, rejected finish calls and accepted Newton steps, and the solves
 that stopped on certified stationarity
 (``tight_solves`` in the output). These counts do not depend on timing, so
@@ -72,6 +76,8 @@ STEP_REPEATS = 7
 STEP_SECONDS = 0.05
 #: alternating turns of the two sides' update-step timings
 STEP_ROUNDS = 4
+#: sweeps of the masvd solve timed at the update-step layer
+SOLVE_SWEEPS = 10
 #: (dims, method) of the tight cells, and the Gaussian tensors solved in each
 TIGHT_CELLS = (((32, 32, 32), "asvd"), ((8, 8, 8), "asvd"), ((8, 8, 8), "masvd"))
 TIGHT_SOLVES = 24
@@ -323,19 +329,48 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     return rows
 
 
+def masvd_solve_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
+    """Rows of best-of-N µs per call of a ``SOLVE_SWEEPS``-sweep masvd solve
+    (``masvd_solve``) of the importable ``rank1tensor``, from a fixed random
+    start, on the Gaussian tensor of each shape in STEP_DIMS that
+    :func:`step_timings` takes. The fit-change tolerance of 1e-300 keeps
+    the Newton finish out; the solve ends early only if a sweep leaves the
+    fit unchanged."""
+    import numpy as np
+    from rank1tensor import SolverConfig, Tensor, solve, solvers
+
+    rows = []
+    for dims in STEP_DIMS:
+        t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
+        u = solvers.init_random(dims, seed=1)
+        cfg = SolverConfig(method="masvd", max_iterations=SOLVE_SWEEPS, fitchange_tol=1e-300)
+        rows.append({
+            "dims": "x".join(map(str, dims)), "step": "masvd_solve",
+            "us_per_call": best_us(lambda: solve(t, cfg, initial=u), repeats, seconds),
+        })
+    return rows
+
+
+def update_step_rows():
+    """The rows of :func:`step_timings` and :func:`masvd_solve_timings`."""
+    return step_timings() + masvd_solve_timings()
+
+
 def tight_counts(solves=TIGHT_SOLVES):
     """Per cell of TIGHT_CELLS, what the importable ``rank1tensor`` does in
     ``solves`` solves to a fit change of 1e-12 of Gaussian tensors: the
-    median and mean of the sweeps, of the optimization calls, of the calls
-    of ``solvers._newton_finish`` (0 where the side has none), of those calls
+    median and mean of the sweeps, of the optimization calls, of the pair
+    steps (calls of ``linalg.top_singular_triple``), of the calls of
+    ``solvers._newton_finish`` (0 where the side has none), of those calls
     that were rejected (returned None) and of the accepted Newton steps
     (sub-steps over every mode), the count of ``stationary`` stops and each
     lambda."""
     import numpy as np
-    from rank1tensor import SolverConfig, Tensor, solve, solvers
+    from rank1tensor import SolverConfig, Tensor, linalg, solve, solvers
 
     finish = getattr(solvers, "_newton_finish", None)
-    attempts = {"all": 0, "rejected": 0}
+    triple = linalg.top_singular_triple
+    attempts = {"all": 0, "rejected": 0, "pairs": 0}
 
     def counted(*args):
         s = finish(*args)
@@ -343,24 +378,30 @@ def tight_counts(solves=TIGHT_SOLVES):
         attempts["rejected"] += s is None
         return s
 
+    def counted_triple(*args, **kwargs):
+        attempts["pairs"] += 1
+        return triple(*args, **kwargs)
+
     rows = []
     if finish is not None:
         solvers._newton_finish = counted
+    linalg.top_singular_triple = counted_triple
     try:
         for dims, method in TIGHT_CELLS:
             every = tuple(range(len(dims)))
             counts = {
-                "sweeps": [], "opt_calls": [], "newton_attempts": [],
+                "sweeps": [], "opt_calls": [], "pair_steps": [], "newton_attempts": [],
                 "rejected_attempts": [], "newton_steps": [],
             }
             lambdas, stationary = [], 0
             for k in range(solves):
                 t = Tensor(np.random.default_rng([*dims, k]).standard_normal(dims))
                 cfg = SolverConfig(method=method, seed=k, fitchange_tol=1e-12, max_iterations=2000)
-                attempts.update(all=0, rejected=0)
+                attempts.update(all=0, rejected=0, pairs=0)
                 result = solve(t, cfg)
                 counts["sweeps"].append(result.iterations)
                 counts["opt_calls"].append(result.optimization_calls)
+                counts["pair_steps"].append(attempts["pairs"])
                 counts["newton_attempts"].append(attempts["all"])
                 counts["rejected_attempts"].append(attempts["rejected"])
                 counts["newton_steps"].append(
@@ -377,6 +418,7 @@ def tight_counts(solves=TIGHT_SOLVES):
     finally:
         if finish is not None:
             solvers._newton_finish = finish
+        linalg.top_singular_triple = triple
     return rows
 
 
@@ -459,13 +501,15 @@ def main(argv=None):
                 f"first, each the best of {STEP_REPEATS} batches of at least "
                 f"{STEP_SECONDS} s, µs per call, of one asvd sweep, one masvd sweep and "
                 "one Newton finish step, at the tuple of an asvd solve to a fit change "
-                "of 1e-6 of a Gaussian tensor"
+                f"of 1e-6 of a Gaussian tensor, and of a {SOLVE_SWEEPS}-sweep masvd solve "
+                "of that tensor from a fixed random start"
             ),
         },
         "tight_solves": {
             "description": (
                 f"{TIGHT_SOLVES} solves per cell of Gaussian tensors to a fit change of "
-                "1e-12 (max_iterations 2000): sweeps, opt_calls, calls of "
+                "1e-12 (max_iterations 2000): sweeps, opt_calls, pair steps (calls of "
+                "linalg.top_singular_triple), calls of "
                 "solvers._newton_finish, rejected calls and accepted Newton steps per "
                 "solve (median and mean), stationary "
                 "stops, and the largest relative lambda difference between the sides"
@@ -488,7 +532,7 @@ def main(argv=None):
             result[side] = materialize(rev, trees[side])
         for turn in range(STEP_ROUNDS):
             for side in ("parent", "change") if turn % 2 == 0 else ("change", "parent"):
-                rows = in_child(trees[side], "step_timings")
+                rows = in_child(trees[side], "update_step_rows")
                 best = result["update_steps"].setdefault(side, rows)
                 for kept, row in zip(best, rows):
                     kept["us_per_call"] = min(kept["us_per_call"], row["us_per_call"])
