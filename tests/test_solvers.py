@@ -312,6 +312,20 @@ class TestMasvdSweep:
         after = masvd_sweep(t, axes)
         assert f_value(t, after) == pytest.approx(t.norm(), rel=1e-12)
 
+    def test_exact_ties_break_to_lowest_mode(self):
+        # at the axes of 2 e0 (x) e0 (x) e0 every candidate is exactly 2
+        arr = np.zeros((3, 4, 2))
+        arr[0, 0, 0] = 2.0
+        axes = UnitTuple([np.eye(m)[0] for m in arr.shape])
+        result = solve(
+            Tensor(arr),
+            SolverConfig(method="masvd", max_iterations=1, fitchange_tol=1e-30),
+            initial=axes,
+        )
+        chosen, candidates = first_step(result.trace)
+        assert candidates == {0: 2.0, 1: 2.0, 2: 2.0}
+        assert chosen == 0 and result.trace.steps[0][0] == (1, 2)
+
     def test_first_choice_is_argmax_of_sigma_candidates(self, fixture_3cube):
         t = fixture_3cube
         u = random_tuple((3, 3, 3), 14)
