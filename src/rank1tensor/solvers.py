@@ -24,10 +24,11 @@ product of unit spheres:
 Every candidate-generating contraction counts as one optimization call,
 however the candidate is obtained (a masvd candidate looked up from the
 previous sweep counts too); a solve records the calls, and each sub-step's
-objective, in the columns of a :class:`SolverTrace`. The single-mode methods form their contractions with
-:func:`kernels.contract_each`: an als sweep is one dimension-tree pass and
-each mals round computes all of its stale candidates in one call, so an als
-sweep reads the tensor twice and a mals sweep d + 1 times.
+objective, in the columns of a :class:`SolverTrace`. The single-mode
+methods form their contractions with :func:`kernels.contract_each`: an als
+sweep is one dimension-tree pass and each mals round computes all of its
+stale candidates in one call, so an als sweep reads the tensor twice and a
+mals sweep d + 1 times.
 The pair steps take the top singular pair from
 :func:`linalg.top_singular_triple` in its default mode, which does not
 depend on the current iterate.
@@ -404,10 +405,9 @@ def _masvd_sweep(arr, vecs, trace, cache):
                 best, chosen = entry, k
         f, u_new, v_new = best
         i, j = _MASVD_PAIRS[chosen]
-        if (vecs[i] != u_new).any():
-            cache.pop(i, None)
-        if (vecs[j] != v_new).any():
-            cache.pop(j, None)
+        for m, new in ((i, u_new), (j, v_new)):
+            if (vecs[m] != new).any():
+                cache.pop(m, None)
         vecs[i], vecs[j] = u_new, v_new
         trace._record(f, (i, j), chosen, candidates)
         remaining.remove(chosen)
@@ -436,20 +436,15 @@ def _newton_step(arr, vecs, contractions, f):
     h = tangent_hessian(arr, vecs, bases, f)
     n0 = bases[0].shape[1]
     c = h[n0:, :n0]
-    cct = c @ c.T
-    cct *= 2.0 / f
     schur = h[n0:, n0:]  # H_R, overwritten by S
-    schur -= cct
+    schur -= (2.0 / f) * (c @ c.T)
     try:
         np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
         return None
-    g_0 = bases[0].T @ contractions[0]
-    rhs = np.concatenate([q.T @ v for q, v in zip(bases[1:], contractions[1:])])
-    rhs -= (2.0 / f) * (c @ g_0)
-    rhs *= 0.5
-    theta_r = np.linalg.solve(schur, rhs)
-    theta = np.concatenate([(g_0 - 2.0 * (c.T @ theta_r)) / f, theta_r])
+    g = np.concatenate([q.T @ v for q, v in zip(bases, contractions)])
+    theta_r = np.linalg.solve(schur, 0.5 * (g[n0:] - (2.0 / f) * (c @ g[:n0])))
+    theta = np.concatenate([(g[:n0] - 2.0 * (c.T @ theta_r)) / f, theta_r])
     new, start = [], 0
     for x, q in zip(vecs, bases):
         y = x + q @ theta[start : start + q.shape[1]]
