@@ -19,15 +19,16 @@ last kept mode from the highest down (the trailing axis), then those before
 the first kept mode from the lowest up (the leading axis), then those
 between kept modes from the highest down.
 
-The reduction is chosen by the size of the current result. Up to
-``BLAS_MAX_ENTRIES`` entries it is one BLAS matrix-vector product
-(``out.reshape(-1, m) @ v`` for the trailing axis, ``v @ out.reshape(-1, m,
-after)`` otherwise); above it, ``np.einsum("ijk,j->ik", ...)``.
-
-Below the cap BLAS is faster and stays on the calling thread; above it,
-einsum's single-threaded loops do not wait on BLAS threads whose cores
-another process holds. The README's "Kernel reduction route" section has
-the measurements.
+Every reduction is a BLAS matrix-vector product (``np.matmul``), and no
+single call reads more than ``BLAS_MAX_ENTRIES`` entries. The trailing axis
+is ``out.reshape(-1, m) @ v``, taken in blocks of whole rows; the other
+axes are ``v @ out.reshape(-1, m, after)``, one call per batch, taken in
+blocks of columns when one batch is larger than the cap. The blocks are
+strided views written into one result, so nothing is copied. A current
+result of at most ``BLAS_MAX_ENTRIES`` entries is one call of that
+expression. Calls of that size run on the calling thread, so none waits on
+a BLAS thread whose core another process holds; the README's "Kernel
+reduction route" section has the measurements.
 
 Tensor passes. One all-but-one contraction reads the whole tensor once, so
 a loop over d modes reads it d times. ``contract_each`` reads it at most
@@ -38,19 +39,33 @@ instead of d(d+1)/2 (4 instead of 6 at d = 3, 5 instead of 10 at d = 4).
 
 import numpy as np
 
-#: Largest result, in entries, whose reduction goes through BLAS. OpenBLAS
-#: ran the ``@`` reductions on one thread up to 2^18 entries and on two at
-#: 2^19 (see the README), so the cap sits 16x below the second thread.
-BLAS_MAX_ENTRIES = 2**15
+#: The most entries one BLAS call of a reduction reads; a larger current
+#: result is reduced in blocks. OpenBLAS ran the ``@`` reductions on one
+#: thread up to 2^18 entries and on two at 2^19 (see the README), so the cap
+#: sits 4x below the second thread.
+BLAS_MAX_ENTRIES = 2**17
 
 
 def _reduce(out, vector, m, after):
     # contract the axis of length m that has ``after`` entries behind it
-    if out.size > BLAS_MAX_ENTRIES:
-        return np.einsum("ijk,j->ik", out.reshape(-1, m, after), vector)
     if after == 1:
-        return out.reshape(-1, m) @ vector
-    return vector @ out.reshape(-1, m, after)
+        if out.size <= BLAS_MAX_ENTRIES:
+            return np.matmul(out.reshape(-1, m), vector)
+        rows = out.reshape(-1, m)
+        step = BLAS_MAX_ENTRIES // m or 1
+        result = np.empty(len(rows))
+        for r in range(0, len(rows), step):
+            np.matmul(rows[r : r + step], vector, out=result[r : r + step])
+        return result
+    batches = out.reshape(-1, m, after)
+    if m * after <= BLAS_MAX_ENTRIES:
+        return np.matmul(vector, batches)
+    step = BLAS_MAX_ENTRIES // m or 1
+    result = np.empty((len(batches), after))
+    for batch, into in zip(batches, result):
+        for c in range(0, after, step):
+            np.matmul(vector, batch[:, c : c + step], out=into[c : c + step])
+    return result
 
 
 def _contract_outside(arr, vectors, keep):

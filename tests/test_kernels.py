@@ -147,10 +147,11 @@ def test_each_with_no_modes_visits_nothing():
     kernels.contract_each(arr, [np.ones(2), np.ones(3)], (), None)
 
 
-# Shapes around kernels.BLAS_MAX_ENTRIES (2^15): exactly at it (every
-# reduction through BLAS), just above it (the first reduction through einsum,
-# the rest through BLAS), and a first reduction well above it with the later
-# ones below. SHAPES above are all far below it.
+# Shapes around 2^15 entries, the largest current result whose reduction
+# is pinned bit for bit (see test_small_reductions_are_the_single_product):
+# exactly at it, just above it in the first reduction only, and a first
+# reduction well above it with the later ones below. SHAPES above are all
+# far below it.
 CAP_SHAPES = [(32, 32, 32), (2, 16385), (33, 32, 32), (16, 16, 16, 16)]
 
 
@@ -210,21 +211,83 @@ def test_cap_shapes_each_matches_direct_summation_on_every_mode_subset():
             assert seen == list(modes)
 
 
-def test_reduction_route_follows_result_size(monkeypatch):
-    # einsum reduces exactly the results above the cap: none of a 32^3
-    # tensor's, and only the first of a 33x32x32 tensor's
+# Shapes at and just above kernels.BLAS_MAX_ENTRIES (2^17), and modes longer
+# than it: the trailing mode (a single row above the cap), the leading mode
+# (a single column above it) and a middle mode of a batch above it.
+BLOCK_SHAPES = [(32, 64, 64), (33, 64, 64), (3, 2**17 + 5), (2**17 + 5, 3), (2, 2**16 + 3, 2)]
+
+
+def test_block_shapes_match_the_broadcast_sum():
+    rng = np.random.default_rng(11)
+    for shape in BLOCK_SHAPES:
+        arr, vecs = _random_case(rng, shape)
+        for keep in range(arr.ndim):
+            got = kernels.contract_all_but_one(arr, vecs, keep)
+            _assert_matches_sum(got, arr, vecs, (keep,))
+        for i, j in itertools.combinations(range(arr.ndim), 2):
+            got = kernels.contract_all_but_two(arr, vecs, i, j)
+            _assert_matches_sum(got, arr, vecs, (i, j))
+        for modes in _subsets(arr.ndim):
+
+            def record(i, v):
+                _assert_matches_sum(v, arr, vecs, (i,))
+                assert not np.shares_memory(v, arr)
+
+            kernels.contract_each(arr, vecs, modes, record)
+
+
+def _spy_matmul(monkeypatch):
+    # records (matrix operand shape, vector length) of every np.matmul call
     calls = []
-    einsum = np.einsum
+    matmul = np.matmul
 
-    def spy(*args, **kwargs):
-        calls.append(args[1].size)
-        return einsum(*args, **kwargs)
+    def spy(a, b, **kwargs):
+        mat, vec = (b, a) if a.ndim == 1 else (a, b)
+        calls.append((mat.shape, vec.size))
+        return matmul(a, b, **kwargs)
 
-    monkeypatch.setattr(kernels.np, "einsum", spy)
+    monkeypatch.setattr(kernels.np, "matmul", spy)
+    return calls
+
+
+def test_reduction_route_follows_result_size(monkeypatch):
+    # every reduction goes through np.matmul: a current result of at most
+    # the cap in one call, a larger one in calls whose matrix (one batch's,
+    # for a stacked operand) reads at most the cap, unless it is a single
+    # row or column longer than the cap
+    cap = kernels.BLAS_MAX_ENTRIES
+    calls = _spy_matmul(monkeypatch)
     rng = np.random.default_rng(10)
-    arr, vecs = _random_case(rng, (32, 32, 32))
-    kernels.contract_all_but_one(arr, vecs, 0)
-    assert calls == []
-    arr, vecs = _random_case(rng, (33, 32, 32))
-    kernels.contract_all_but_one(arr, vecs, 0)
-    assert calls == [33 * 32 * 32]
+    for shape in [(32, 32, 32), (33, 32, 32), (16, 16, 16, 16), (32, 64, 64)]:
+        arr, vecs = _random_case(rng, shape)
+        for keep in range(arr.ndim):
+            calls.clear()
+            kernels.contract_all_but_one(arr, vecs, keep)
+            assert len(calls) == arr.ndim - 1
+    for shape in [(33, 64, 64), *BLOCK_SHAPES[2:], (129, 128, 8)]:
+        arr, vecs = _random_case(rng, shape)
+        calls.clear()
+        for keep in range(arr.ndim):
+            kernels.contract_all_but_one(arr, vecs, keep)
+        for i, j in itertools.combinations(range(arr.ndim), 2):
+            kernels.contract_all_but_two(arr, vecs, i, j)
+        assert len(calls) > arr.ndim * (arr.ndim - 1)  # some reduction was split
+        for mat, length in calls:
+            rows, cols = mat[-2:]
+            assert rows * cols <= cap or (1 in (rows, cols) and length > cap)
+
+
+def test_small_reductions_are_the_single_product():
+    # a current result of at most 2^15 entries is reduced by exactly the one
+    # BLAS product the kernel has always used, so every solve on such
+    # tensors keeps its bits
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 7, 32, 64, 2**15):
+        for after in (1, 3, 32, 2**15 // m):
+            for before in (1, 5, 2**15 // (m * after)):
+                if before * m * after > 2**15 or not before:
+                    continue
+                out = rng.standard_normal((before, m, after)).reshape(-1)
+                v = rng.standard_normal(m)
+                want = out.reshape(-1, m) @ v if after == 1 else v @ out.reshape(-1, m, after)
+                assert np.array_equal(kernels._reduce(out, v, m, after), want)
