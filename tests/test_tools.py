@@ -135,10 +135,18 @@ def test_peak_rss_read_against_items_attempted():
         "14,000 items, -0.316 MB per 1,000 extra items"
     )
 
-    same = [run("parent", 801, 55.0, 4000), run("change", 801, 55.5, 4000)]
-    rss = perf_ab.summarize(same, {"peak_rss_mb": "lower"})["peak_rss_mb"]
-    assert rss["mb_per_1000_extra_items"] is None
-    assert perf_ab.rss_line("w", {"peak_rss_mb": rss}).endswith("equal item counts")
+    # equal counts, or counts closer than SLOPE_MIN_ITEMS (88 against 90
+    # items gave -217 MB per 1,000), give no slope
+    for parent_items, change_items in ((4000, 4000), (88, 90), (4000, 4099)):
+        close = [run("parent", 801, 55.0, parent_items), run("change", 801, 55.5, change_items)]
+        rss = perf_ab.summarize(close, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+        assert rss["mb_per_1000_extra_items"] is None
+        assert perf_ab.rss_line("w", {"peak_rss_mb": rss}).endswith(
+            "item counts differ by fewer than 100, too close for a slope"
+        )
+    apart = [run("parent", 801, 55.0, 4000), run("change", 801, 55.5, 4100)]
+    rss = perf_ab.summarize(apart, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert rss["mb_per_1000_extra_items"] == pytest.approx(5.0)
     # no RSS metric, no line
     assert perf_ab.rss_line("w", perf_ab.summarize(runs_from("parent", [(1, 1)]), BETTER)) is None
 
@@ -164,7 +172,24 @@ def test_masvd_solve_timings_cover_both_shapes():
 def test_update_steps_take_the_sweeps_and_the_masvd_solve(monkeypatch):
     monkeypatch.setattr(perf_ab, "step_timings", lambda: [{"step": "asvd_sweep"}])
     monkeypatch.setattr(perf_ab, "masvd_solve_timings", lambda: [{"step": "masvd_solve"}])
-    assert perf_ab.update_step_rows() == [{"step": "asvd_sweep"}, {"step": "masvd_solve"}]
+    monkeypatch.setattr(perf_ab, "kernel_timings", lambda: [{"step": "contract_all_but_one(0)"}])
+    assert perf_ab.update_step_rows() == [
+        {"step": "asvd_sweep"}, {"step": "masvd_solve"}, {"step": "contract_all_but_one(0)"}
+    ]
+
+
+def test_kernel_timings_cover_the_shapes_and_modes():
+    rows = perf_ab.kernel_timings(repeats=1, seconds=0.0)
+    assert [(r["dims"], r["step"]) for r in rows] == [
+        (dims, step)
+        for dims, last in (("64x64x64", 2), ("128x128x128", 2), ("32x32x32x32", 3))
+        for step in (
+            "contract_all_but_one(0)",
+            f"contract_all_but_one({last})",
+            "contract_all_but_two(1, 2)",
+        )
+    ]
+    assert all(r["us_per_call"] > 0.0 and r["cpu_over_wall"] > 0.0 for r in rows)
 
 
 def test_best_us_takes_the_fastest_batch():
@@ -173,8 +198,11 @@ def test_best_us_takes_the_fastest_batch():
     def call():
         time.sleep(next(delays))
 
-    # one untimed call, then three batches of one call each
-    assert 900.0 <= perf_ab.best_us(call, repeats=3, seconds=0.0) < 10_000.0
+    # one untimed call, then three batches of one call each; a sleep takes
+    # no CPU time
+    us, cpu_over_wall = perf_ab.best_us(call, repeats=3, seconds=0.0)
+    assert 900.0 <= us < 10_000.0
+    assert 0.0 <= cpu_over_wall < 0.5
 
 
 def test_tight_counts_cover_the_tight_cells():

@@ -23,9 +23,10 @@ side's median and quartiles, the parent's interquartile range, the pairs the
 change won (ties count for neither) and whether a gain may be claimed: at
 least ten pairs, nine tenths of them won, and a median gain beyond the
 parent's interquartile range. Next to ``peak_rss_mb`` it gives each side's
-median ``attempted`` and the RSS change per 1,000 extra items, and prints
-that line per workload, since perfbench's peak RSS grows with the items a
-run completes. It is rewritten after every run, so an
+median ``attempted`` and the RSS change per 1,000 extra items (none when
+the medians differ by fewer than SLOPE_MIN_ITEMS items), and prints that
+line per workload, since perfbench's peak RSS grows with the items a run
+completes. It is rewritten after every run, so an
 interrupted command keeps what it measured. It also records the ratio of CPU time to wall time of BLAS matrix-vector
 reductions at several sizes, under the BLAS thread count perfbench pins: a
 ratio near 1 means BLAS ran on one thread.
@@ -36,7 +37,10 @@ asvd sweep, one masvd sweep, where the side has it one step of the
 solver's Newton finish, and a 10-sweep masvd solve from a fixed random
 start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
 starts with nothing to carry over; the solve shows what a masvd sweep
-reuses from the one before it.
+reuses from the one before it. The same rows time the kernel layer:
+``contract_all_but_one`` on the first and the last mode and
+``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4. Each row also
+gives the CPU time over wall time of its best batch.
 The sides take STEP_ROUNDS turns each, alternating which goes first, and
 each keeps its best.
 
@@ -81,6 +85,10 @@ SOLVE_SWEEPS = 10
 #: (dims, method) of the tight cells, and the Gaussian tensors solved in each
 TIGHT_CELLS = (((32, 32, 32), "asvd"), ((8, 8, 8), "asvd"), ((8, 8, 8), "masvd"))
 TIGHT_SOLVES = 24
+#: shapes of the Gaussian tensors at which the kernel layer is timed
+KERNEL_DIMS = ((64, 64, 64), (128, 128, 128), (32, 32, 32, 32))
+#: median item counts closer than this give no RSS slope
+SLOPE_MIN_ITEMS = 100
 
 
 def parse_seeds(text):
@@ -177,14 +185,17 @@ def summarize(runs, better):
         rss["parent_attempted_median"] = pa
         rss["change_attempted_median"] = ca
         rss["mb_per_1000_extra_items"] = (
-            1000.0 * (rss["change_median"] - rss["parent_median"]) / (ca - pa) if ca != pa else None
+            1000.0 * (rss["change_median"] - rss["parent_median"]) / (ca - pa)
+            if abs(ca - pa) >= SLOPE_MIN_ITEMS
+            else None
         )
     return summary
 
 
 def rss_line(workload, summary):
     """One line: each side's median peak RSS next to its median item count,
-    and the RSS change per 1,000 extra items; None without those figures."""
+    and the RSS change per 1,000 extra items, unless the item counts differ
+    by fewer than SLOPE_MIN_ITEMS; None without those figures."""
     rss = summary.get("peak_rss_mb", {})
     if "parent_attempted_median" not in rss:
         return None
@@ -193,7 +204,11 @@ def rss_line(workload, summary):
         f"{workload} peak_rss_mb: parent {rss['parent_median']:.2f} MB at "
         f"{rss['parent_attempted_median']:,.0f} items, change {rss['change_median']:.2f} MB at "
         f"{rss['change_attempted_median']:,.0f} items, "
-        + ("equal item counts" if per is None else f"{per:+.3f} MB per 1,000 extra items")
+        + (
+            f"item counts differ by fewer than {SLOPE_MIN_ITEMS}, too close for a slope"
+            if per is None
+            else f"{per:+.3f} MB per 1,000 extra items"
+        )
     )
 
 
@@ -280,20 +295,31 @@ def _probe_reductions():
 
 def best_us(call, repeats, seconds):
     """Best-of-``repeats`` microseconds per call, each batch running
-    ``call`` for at least ``seconds``."""
+    ``call`` for at least ``seconds``, and the CPU time over wall time of
+    that batch (near 1 when the calls ran on one thread)."""
     call()
-    best = float("inf")
+    best, cpu_over_wall = float("inf"), None
     for _ in range(repeats):
         calls = 0
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), time.process_time()
         while True:
             call()
             calls += 1
             elapsed = time.perf_counter() - start
             if elapsed >= seconds:
                 break
-        best = min(best, elapsed / calls)
-    return 1e6 * best
+        if elapsed / calls < best:
+            best = elapsed / calls
+            cpu_over_wall = (time.process_time() - cpu) / elapsed if elapsed else None
+    return 1e6 * best, cpu_over_wall
+
+
+def _timed_row(dims, step, call, repeats, seconds):
+    us, cpu_over_wall = best_us(call, repeats, seconds)
+    return {
+        "dims": "x".join(map(str, dims)), "step": step,
+        "us_per_call": us, "cpu_over_wall": cpu_over_wall,
+    }
 
 
 def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
@@ -321,11 +347,7 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
             contractions = contract(t.array, vecs)
             f, _ = solvers._f_and_stationarity(vecs, contractions)
             calls["newton_step"] = lambda: solvers._newton_step(t.array, vecs, contractions, f)
-        for step, call in calls.items():
-            rows.append({
-                "dims": "x".join(map(str, dims)), "step": step,
-                "us_per_call": best_us(call, repeats, seconds),
-            })
+        rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
     return rows
 
 
@@ -344,16 +366,39 @@ def masvd_solve_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
         t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
         u = solvers.init_random(dims, seed=1)
         cfg = SolverConfig(method="masvd", max_iterations=SOLVE_SWEEPS, fitchange_tol=1e-300)
-        rows.append({
-            "dims": "x".join(map(str, dims)), "step": "masvd_solve",
-            "us_per_call": best_us(lambda: solve(t, cfg, initial=u), repeats, seconds),
-        })
+        rows.append(
+            _timed_row(dims, "masvd_solve", lambda: solve(t, cfg, initial=u), repeats, seconds)
+        )
+    return rows
+
+
+def kernel_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
+    """Rows of best-of-N µs per call, with CPU over wall time, of the
+    kernels of the importable ``rank1tensor`` on a Gaussian tensor of each
+    shape in KERNEL_DIMS: ``contract_all_but_one`` keeping the first and the
+    last mode, and ``contract_all_but_two`` keeping modes 1 and 2."""
+    import numpy as np
+    from rank1tensor import kernels
+
+    rows = []
+    for dims in KERNEL_DIMS:
+        rng = np.random.default_rng(list(dims))
+        arr = rng.standard_normal(dims)
+        vecs = [rng.standard_normal(n) for n in dims]
+        last = len(dims) - 1
+        calls = {
+            "contract_all_but_one(0)": lambda: kernels.contract_all_but_one(arr, vecs, 0),
+            f"contract_all_but_one({last})": lambda: kernels.contract_all_but_one(arr, vecs, last),
+            "contract_all_but_two(1, 2)": lambda: kernels.contract_all_but_two(arr, vecs, 1, 2),
+        }
+        rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
     return rows
 
 
 def update_step_rows():
-    """The rows of :func:`step_timings` and :func:`masvd_solve_timings`."""
-    return step_timings() + masvd_solve_timings()
+    """The rows of :func:`step_timings`, :func:`masvd_solve_timings` and
+    :func:`kernel_timings`."""
+    return step_timings() + masvd_solve_timings() + kernel_timings()
 
 
 def tight_counts(solves=TIGHT_SOLVES):
@@ -501,8 +546,10 @@ def main(argv=None):
                 f"first, each the best of {STEP_REPEATS} batches of at least "
                 f"{STEP_SECONDS} s, µs per call, of one asvd sweep, one masvd sweep and "
                 "one Newton finish step, at the tuple of an asvd solve to a fit change "
-                f"of 1e-6 of a Gaussian tensor, and of a {SOLVE_SWEEPS}-sweep masvd solve "
-                "of that tensor from a fixed random start"
+                f"of 1e-6 of a Gaussian tensor, of a {SOLVE_SWEEPS}-sweep masvd solve "
+                "of that tensor from a fixed random start, and of the kernels "
+                "contract_all_but_one (first and last mode) and contract_all_but_two(1, 2) "
+                "on Gaussian tensors; cpu_over_wall is that of the best batch"
             ),
         },
         "tight_solves": {
@@ -535,7 +582,8 @@ def main(argv=None):
                 rows = in_child(trees[side], "update_step_rows")
                 best = result["update_steps"].setdefault(side, rows)
                 for kept, row in zip(best, rows):
-                    kept["us_per_call"] = min(kept["us_per_call"], row["us_per_call"])
+                    if row["us_per_call"] < kept["us_per_call"]:
+                        kept.update(row)
         for side in ("parent", "change"):
             result["tight_solves"][side] = in_child(trees[side], "tight_counts")
         compare_lambdas(result["tight_solves"]["parent"], result["tight_solves"]["change"])
