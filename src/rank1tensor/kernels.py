@@ -47,20 +47,20 @@ BLAS_MAX_ENTRIES = 2**17
 
 
 def _reduce(out, vector, m, after):
-    # contract the axis of length m that has ``after`` entries behind it
+    # contract the axis of length m that has ``after`` entries behind it, in
+    # calls of at most ``step`` rows (trailing axis) or columns (other axes)
+    step = BLAS_MAX_ENTRIES // m or 1
     if after == 1:
-        if out.size <= BLAS_MAX_ENTRIES:
-            return np.matmul(out.reshape(-1, m), vector)
         rows = out.reshape(-1, m)
-        step = BLAS_MAX_ENTRIES // m or 1
+        if len(rows) <= step:
+            return np.matmul(rows, vector)
         result = np.empty(len(rows))
         for r in range(0, len(rows), step):
             np.matmul(rows[r : r + step], vector, out=result[r : r + step])
         return result
     batches = out.reshape(-1, m, after)
-    if m * after <= BLAS_MAX_ENTRIES:
+    if after <= step:
         return np.matmul(vector, batches)
-    step = BLAS_MAX_ENTRIES // m or 1
     result = np.empty((len(batches), after))
     for batch, into in zip(batches, result):
         for c in range(0, after, step):

@@ -264,6 +264,10 @@ def test_reduction_route_follows_result_size(monkeypatch):
             calls.clear()
             kernels.contract_all_but_one(arr, vecs, keep)
             assert len(calls) == arr.ndim - 1
+        for i, j in itertools.combinations(range(arr.ndim), 2):
+            calls.clear()
+            kernels.contract_all_but_two(arr, vecs, i, j)
+            assert len(calls) == arr.ndim - 2
     for shape in [(33, 64, 64), *BLOCK_SHAPES[2:], (129, 128, 8)]:
         arr, vecs = _random_case(rng, shape)
         calls.clear()
