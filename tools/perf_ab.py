@@ -298,7 +298,7 @@ def best_us(call, repeats, seconds):
     ``call`` for at least ``seconds``, and the CPU time over wall time of
     that batch (near 1 when the calls ran on one thread)."""
     call()
-    best, cpu_over_wall = float("inf"), None
+    best = float("inf")
     for _ in range(repeats):
         calls = 0
         start, cpu = time.perf_counter(), time.process_time()
@@ -310,7 +310,7 @@ def best_us(call, repeats, seconds):
                 break
         if elapsed / calls < best:
             best = elapsed / calls
-            cpu_over_wall = (time.process_time() - cpu) / elapsed if elapsed else None
+            cpu_over_wall = (time.process_time() - cpu) / elapsed
     return 1e6 * best, cpu_over_wall
 
 
