@@ -236,9 +236,13 @@ def test_block_shapes_match_the_broadcast_sum():
             kernels.contract_each(arr, vecs, modes, record)
 
 
-def _spy_matmul(monkeypatch):
-    # records (matrix operand shape, vector length) of every np.matmul call
-    calls = []
+def test_reduction_route_follows_result_size(monkeypatch):
+    # every reduction goes through np.matmul: a current result of at most
+    # the cap in one call, a larger one in calls whose matrix (one batch's,
+    # for a stacked operand) reads at most the cap, unless it is a single
+    # row or column longer than the cap
+    cap = kernels.BLAS_MAX_ENTRIES
+    calls = []  # (matrix operand shape, vector length) per call
     matmul = np.matmul
 
     def spy(a, b, **kwargs):
@@ -247,16 +251,6 @@ def _spy_matmul(monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(kernels.np, "matmul", spy)
-    return calls
-
-
-def test_reduction_route_follows_result_size(monkeypatch):
-    # every reduction goes through np.matmul: a current result of at most
-    # the cap in one call, a larger one in calls whose matrix (one batch's,
-    # for a stacked operand) reads at most the cap, unless it is a single
-    # row or column longer than the cap
-    cap = kernels.BLAS_MAX_ENTRIES
-    calls = _spy_matmul(monkeypatch)
     rng = np.random.default_rng(10)
     for shape in [(32, 32, 32), (33, 32, 32), (16, 16, 16, 16), (32, 64, 64)]:
         arr, vecs = _random_case(rng, shape)
@@ -268,14 +262,16 @@ def test_reduction_route_follows_result_size(monkeypatch):
             calls.clear()
             kernels.contract_all_but_two(arr, vecs, i, j)
             assert len(calls) == arr.ndim - 2
-    for shape in [(33, 64, 64), *BLOCK_SHAPES[2:], (129, 128, 8)]:
+    for shape in [(33, 64, 64), (3, 2**17 + 5), (2**17 + 5, 3), (2, 2**16 + 3, 2), (129, 128, 8)]:
         arr, vecs = _random_case(rng, shape)
         calls.clear()
         for keep in range(arr.ndim):
             kernels.contract_all_but_one(arr, vecs, keep)
-        for i, j in itertools.combinations(range(arr.ndim), 2):
+        pairs = list(itertools.combinations(range(arr.ndim), 2))
+        for i, j in pairs:
             kernels.contract_all_but_two(arr, vecs, i, j)
-        assert len(calls) > arr.ndim * (arr.ndim - 1)  # some reduction was split
+        # more calls than reductions: some reduction was split
+        assert len(calls) > arr.ndim * (arr.ndim - 1) + len(pairs) * (arr.ndim - 2)
         for mat, length in calls:
             rows, cols = mat[-2:]
             assert rows * cols <= cap or (1 in (rows, cols) and length > cap)
