@@ -15,12 +15,14 @@ block size. Ostrowski's theorem appears as the special case: the iteration
 contracts from every start iff H is positive definite.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import linalg
-from .core import f_from_arrays, tangent_basis, tangent_hessian
+from .core import f_from_arrays, split_scale, tangent_basis, tangent_hessian
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -30,13 +32,14 @@ from .errors import (
 
 #: |modulus - 1| below this counts as "on the unit circle"
 UNIT_CIRCLE_TOL = 1e-8
-#: inertia zero threshold (relative, see linalg.inertia)
-ZERO_EIG_TOL = 1e-8
 #: every unit-circle eigenvalue must be this close to 1
 NEAR_ONE_TOL = 1e-6
 
 SYMMETRY_TOL = 1e-12
 SINGULAR_BLOCK_TOL = 1e-12
+#: a basin trajectory stops at a norm at most / above these: converged / diverged
+BASIN_ZERO_NORM = 1e-10
+BASIN_DIVERGED_NORM = 1e150
 
 
 class BlockQuadraticForm:
@@ -57,16 +60,13 @@ class BlockQuadraticForm:
             )
         scale = float(np.max(np.abs(h))) if h.size else 0.0
         asym = float(np.max(np.abs(h - h.T)))
-        if asym > SYMMETRY_TOL * max(scale, 1e-300):
+        if asym > SYMMETRY_TOL * scale:
             raise InvalidInputError(
                 f"H is not symmetric: max |H - H^T| = {asym!r} vs scale {scale!r}"
             )
         self.h = h
         self.block_sizes = sizes
-        offsets = [0]
-        for m in sizes:
-            offsets.append(offsets[-1] + m)
-        self._offsets = tuple(offsets)
+        self._offsets = (0, *accumulate(sizes))
 
     @property
     def order(self):
@@ -82,10 +82,10 @@ class BlockQuadraticForm:
     def block(self, p, q):
         return self.h[self.block_slice(p), self.block_slice(q)]
 
-    def diagonal_blocks_positive_definite(self, zero_tol=ZERO_EIG_TOL):
+    def diagonal_blocks_positive_definite(self):
         """True when every H_jj is positive definite, i.e. the origin is a
         semi-maximal point of -xi^T H xi."""
-        return _blocks_definite(_block_spectra(self), zero_tol)
+        return _blocks_definite(_block_spectra(self))
 
     def f(self, xi):
         xi = np.asarray(xi, dtype=np.float64)
@@ -120,31 +120,28 @@ class BasinTrajectory:
 
 def _block_spectra(q):
     # (ascending eigenvalues, max |entry|) of each diagonal block
-    spectra = []
-    for j in range(q.nblocks):
-        block = q.block(j, j)
-        spectra.append((np.linalg.eigvalsh(block), float(np.max(np.abs(block)))))
-    return spectra
+    blocks = [q.block(j, j) for j in range(q.nblocks)]
+    return [(np.linalg.eigvalsh(b), float(np.max(np.abs(b)))) for b in blocks]
 
 
 def _check_diagonal_blocks(spectra):
     for j, (eigenvalues, scale) in enumerate(spectra):
-        if np.min(np.abs(eigenvalues)) <= SINGULAR_BLOCK_TOL * max(1.0, scale):
+        if linalg._sign_counts(eigenvalues, scale, SINGULAR_BLOCK_TOL).zero:
             raise SingularBlockError(j)
 
 
-def _blocks_definite(spectra, zero_tol):
-    # every eigenvalue above linalg.inertia's zero threshold
-    return all(
-        eigenvalues[0] > zero_tol * max(1.0, scale) for eigenvalues, scale in spectra
-    )
+def _blocks_definite(spectra):
+    return all(linalg._sign_counts(w, scale).positive == w.size for w, scale in spectra)
 
 
 def _iteration_matrix(q):
+    # K of H scaled by the power of two that brings max|H| into [1/2, 1):
+    # exact, so K keeps its bits, and a subnormal H does not underflow
+    h = np.ldexp(q.h, -math.frexp(float(np.max(np.abs(q.h))))[1])
     block_id = np.repeat(np.arange(q.nblocks), q.block_sizes)
     lower_mask = block_id[:, None] >= block_id[None, :]
-    l_h = np.where(lower_mask, q.h, 0.0)
-    u_h = q.h - l_h
+    l_h = np.where(lower_mask, h, 0.0)
+    u_h = h - l_h
     return np.linalg.solve(l_h, -u_h)
 
 
@@ -185,12 +182,14 @@ def ami_sweep(q, xi):
     return _sweep(q, xi)
 
 
-def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
+def analyze(q):
     """Spectrum of K, inertia of H, and the eigenvalue-count comparison.
 
-    When a diagonal block is not positive definite the counts are still
-    reported but ``theorem_holds`` is None (hypothesis not met). A singular
-    diagonal block raises instead, since K does not exist.
+    Every zero test is relative to its matrix's max |entry|, so H and cH,
+    c > 0, give the same report. When a diagonal block is not positive
+    definite the counts are still reported but ``theorem_holds`` is None
+    (hypothesis not met). A singular diagonal block raises instead, since K
+    does not exist.
     """
     spectra = _block_spectra(q)
     _check_diagonal_blocks(spectra)
@@ -207,13 +206,14 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
         )
 
     moduli = np.abs(eigenvalues)
-    on_circle = np.abs(moduli - 1.0) <= unit_tol
+    on_circle = np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL
     gamma = int(np.count_nonzero(on_circle))
     alpha = int(np.count_nonzero(~on_circle & (moduli < 1.0)))
     beta = len(eigenvalues) - alpha - gamma
 
-    counts = linalg.inertia(q.h, zero_tol=zero_tol)
-    definite_diag = _blocks_definite(spectra, zero_tol)
+    # BlockQuadraticForm has checked H's symmetry
+    counts = linalg._sign_counts(np.linalg.eigvalsh(q.h), float(np.max(np.abs(q.h))))
+    definite_diag = _blocks_definite(spectra)
     theorem_holds = (
         (alpha, beta, gamma) == tuple(counts) if definite_diag else None
     )
@@ -229,7 +229,7 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
         spectral_radius=rho,
         diagonal_blocks_definite=definite_diag,
         theorem_holds=theorem_holds,
-        ostrowski=(rho < 1.0 - unit_tol) == h_positive_definite,
+        ostrowski=(rho < 1.0 - UNIT_CIRCLE_TOL) == h_positive_definite,
         pi_lower_bound_ok=counts.positive >= max(q.block_sizes),
         unit_circle_near_one=bool(
             np.all(np.abs(eigenvalues[on_circle] - 1.0) <= NEAR_ONE_TOL)
@@ -237,11 +237,12 @@ def analyze(q, unit_tol=UNIT_CIRCLE_TOL, zero_tol=ZERO_EIG_TOL):
     )
 
 
-def basin_experiment(q, xi0, sweeps, zero_threshold=1e-10):
+def basin_experiment(q, xi0, sweeps):
     """Iterate the sweep from ``xi0`` and record norms and objective values.
 
     ``xi0`` is checked once, and the diagonal blocks once when ``sweeps`` is
-    positive; the sweeps themselves run unchecked.
+    positive; the sweeps themselves run unchecked. A start whose norm or
+    objective is not a finite float raises InvalidInputError.
 
     The objective sequence never decreases along the iteration; the iterates
     contract to the origin exactly when ``xi0`` lies in the invariant
@@ -250,21 +251,24 @@ def basin_experiment(q, xi0, sweeps, zero_threshold=1e-10):
     if sweeps < 0:
         raise InvalidInputError("sweeps must be >= 0")
     xi = _checked_vector(q, xi0)
+    _, scale, sq = split_scale(xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms, f_values = [scale * math.sqrt(sq)], [q.f(xi)]
+    if not (math.isfinite(norms[0]) and math.isfinite(f_values[0])):
+        raise InvalidInputError("the start's norm or objective exceeds the float64 range")
     if sweeps:
         _check_diagonal_blocks(_block_spectra(q))
-    norms = [float(np.linalg.norm(xi))]
-    f_values = [q.f(xi)]
-    converged = norms[0] <= zero_threshold
+    converged = norms[0] <= BASIN_ZERO_NORM
     run = 0
     for run in range(1, sweeps + 1):
         xi = _sweep(q, xi)
         norms.append(float(np.linalg.norm(xi)))
         f_values.append(q.f(xi))
-        if norms[-1] <= zero_threshold:
+        if norms[-1] <= BASIN_ZERO_NORM:
             converged = True
             break
-        if not np.isfinite(norms[-1]) or norms[-1] > 1e150:
-            break  # diverged; stop before overflow poisons the record
+        if not np.isfinite(norms[-1]) or norms[-1] > BASIN_DIVERGED_NORM:
+            break
     return BasinTrajectory(
         norms=norms,
         f_values=f_values,

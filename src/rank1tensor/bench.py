@@ -9,7 +9,7 @@ except for the wall-clock column.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -143,10 +143,10 @@ class BenchRow:
     records: list = field(repr=False, default_factory=list)
 
 
-def _one_run(spec, method, run, base_cfg):
+def _one_run(spec, method, run):
     run_seed = spec.seed + run
     data = generate(spec, seed=(run_seed, 0)) if spec.kind != "volume_file" else generate(spec)
-    cfg = replace(base_cfg, method=method, init="random", seed=(run_seed, 1))
+    cfg = SolverConfig(method=method, seed=(run_seed, 1))
     started = time.perf_counter()
     try:
         result = solve(data, cfg)
@@ -183,7 +183,7 @@ def _one_run(spec, method, run, base_cfg):
     )
 
 
-def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None):
+def run_bench(specs, methods, runs=10, out_csv=None):
     """Execute ``runs`` seeded solves per (spec, method) and aggregate.
 
     Returns (rows, csv_text); also writes the CSV when ``out_csv`` is given.
@@ -193,8 +193,6 @@ def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None):
         raise InvalidInputError("runs must be >= 1")
     if not specs or not methods:
         raise InvalidInputError("need at least one dataset spec and one method")
-    if base_cfg is None:
-        base_cfg = SolverConfig()
 
     def nanmean(values):
         finite = [v for v in values if not np.isnan(v)]
@@ -204,7 +202,7 @@ def run_bench(specs, methods, runs=10, base_cfg=None, out_csv=None):
     csv_lines = [CSV_HEADER]
     for spec in specs:
         for method in methods:
-            group = [_one_run(spec, method, r, base_cfg) for r in range(runs)]
+            group = [_one_run(spec, method, r) for r in range(runs)]
             csv_lines.extend(rec.csv_line() for rec in group)
             walls = [rec.wall_seconds for rec in group]
             rows.append(

@@ -171,12 +171,6 @@ def cmd_ami(args):
     print(f"unit_circle_near_one {report.unit_circle_near_one}")
     if args.basin:
         xi0 = io.read_vector_text(args.basin)
-        if xi0.size != form.order:
-            print(
-                f"error: start vector has {xi0.size} entries, expected {form.order}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
         trajectory = ami_mod.basin_experiment(form, xi0, sweeps=args.sweeps)
         print(f"basin_sweeps {trajectory.sweeps_run}")
         print(f"basin_norm_first {_fmt(trajectory.norms[0])}")

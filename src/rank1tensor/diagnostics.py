@@ -26,8 +26,6 @@ from . import kernels, linalg
 from .core import UnitTuple, f_from_arrays, mode_residual, split_scale
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
-#: default margin for exact-arithmetic identities, relative to |T|
-EXACT_TOL = 1e-8
 #: default margin for checks after an alternating solve, relative to |T|
 POST_SOLVE_TOL = 1e-6
 

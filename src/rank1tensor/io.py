@@ -18,10 +18,6 @@ from .core import Tensor, UnitTuple, split_scale
 from .errors import ParseError
 
 
-def _lines(text):
-    return text.splitlines()
-
-
 def _read_text(path):
     """The file's text. A byte outside ASCII is a ParseError on its line."""
     with open(path, "rb") as fh:
@@ -51,23 +47,29 @@ def _parse_float(token, line, what):
     return value
 
 
-def _parse_header(lines, count_what, dims_what):
+def _parse_count(lines, what):
+    # the first line: a single integer >= 1
     if not lines or not lines[0].split():
-        raise ParseError(1, f"missing {count_what}")
+        raise ParseError(1, f"missing {what}")
     head = lines[0].split()
     if len(head) != 1:
-        raise ParseError(1, f"expected a single integer ({count_what})")
-    d = _parse_int(head[0], 1, count_what)
-    if d < 1:
-        raise ParseError(1, f"{count_what} must be >= 1, got {d}")
+        raise ParseError(1, f"expected a single integer ({what})")
+    count = _parse_int(head[0], 1, what)
+    if count < 1:
+        raise ParseError(1, f"{what} must be >= 1, got {count}")
+    return count
+
+
+def _parse_header(lines):
+    d = _parse_count(lines, "mode count")
     if len(lines) < 2 or not lines[1].split():
-        raise ParseError(2, f"missing {dims_what}")
+        raise ParseError(2, "missing dimensions")
     tokens = lines[1].split()
     if len(tokens) != d:
         raise ParseError(2, f"expected {d} dimensions, got {len(tokens)}")
     dims = []
     for tok in tokens:
-        m = _parse_int(tok, 2, dims_what)
+        m = _parse_int(tok, 2, "dimensions")
         if m < 1:
             raise ParseError(2, f"dimensions must be >= 1, got {m}")
         dims.append(m)
@@ -113,8 +115,8 @@ def _collect_values(lines, first_line, expected, what):
 
 
 def parse_tensor_text(text):
-    lines = _lines(text)
-    _, dims = _parse_header(lines, "mode count", "dimensions")
+    lines = text.splitlines()
+    _, dims = _parse_header(lines)
     values = _collect_values(lines, 3, math.prod(dims), "tensor entries")
     return Tensor.from_flat(dims, values)
 
@@ -139,8 +141,8 @@ def write_tensor_text(t, path):
 def parse_tuple_text(text):
     """Returns (vectors, was_normalized): unit-normalizes off-sphere input
     and reports that it had to."""
-    lines = _lines(text)
-    d, dims = _parse_header(lines, "mode count", "dimensions")
+    lines = text.splitlines()
+    d, dims = _parse_header(lines)
     if len(lines) < 2 + d:
         raise ParseError(len(lines), f"expected {d} vector lines after the header")
     vectors = []
@@ -181,15 +183,8 @@ def write_tuple_text(u, path):
 
 def parse_block_matrix_text(text):
     """Returns (H, block_sizes) for the appendix analyzer input format."""
-    lines = _lines(text)
-    if not lines or not lines[0].split():
-        raise ParseError(1, "missing matrix order")
-    head = lines[0].split()
-    if len(head) != 1:
-        raise ParseError(1, "expected a single integer (matrix order)")
-    order = _parse_int(head[0], 1, "matrix order")
-    if order < 1:
-        raise ParseError(1, f"matrix order must be >= 1, got {order}")
+    lines = text.splitlines()
+    order = _parse_count(lines, "matrix order")
     if len(lines) < 2 or not lines[1].split():
         raise ParseError(2, "missing block sizes")
     sizes = [_parse_int(tok, 2, "block size") for tok in lines[1].split()]
@@ -206,7 +201,7 @@ def read_block_matrix_text(path):
 
 
 def parse_vector_text(text):
-    values = _collect_values(_lines(text), 1, None, "vector entry")
+    values = _collect_values(text.splitlines(), 1, None, "vector entry")
     if not values.size:
         raise ParseError(1, "empty vector file")
     return values

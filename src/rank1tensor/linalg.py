@@ -43,6 +43,8 @@ CERTIFY_RESIDUAL = 1e-12
 DOMINANCE_MARGIN = 1e-8
 
 SIGN_PIVOT_TOL = 1e-12
+#: |eigenvalue| at most this times the matrix's max |entry| counts as zero
+ZERO_EIG_TOL = 1e-8
 
 Inertia = namedtuple("Inertia", ["positive", "negative", "zero"])
 
@@ -57,26 +59,31 @@ class SingularTriple:
     squarings: int = 0  # behind a certified answer; 0 when eigh answered
 
 
-def inertia(s, zero_tol=1e-8):
+def _sign_counts(eigenvalues, scale, tol=ZERO_EIG_TOL):
+    # (positive, negative, zero) of the eigenvalues of a matrix of max
+    # |entry| ``scale``, |eigenvalue| <= tol * scale counting as zero
+    threshold = tol * scale
+    zero = int(np.count_nonzero(np.abs(eigenvalues) <= threshold))
+    positive = int(np.count_nonzero(eigenvalues > threshold))
+    return Inertia(positive, len(eigenvalues) - positive - zero, zero)
+
+
+def inertia(s):
     """Counts (positive, negative, zero) of eigenvalues of a symmetric
-    matrix, with |eigenvalue| <= zero_tol * max(1, max|S|) counted as zero;
-    raises unless the input is square and symmetric to 1e-10 relative. Only
-    the eigenvalues are computed."""
+    matrix, with |eigenvalue| <= ZERO_EIG_TOL * max|S| counted as zero, so
+    that S and cS have the same counts for any c > 0; raises unless the
+    input is square and symmetric to 1e-10 relative. Only the eigenvalues
+    are computed."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {s.shape}")
     scale = np.max(np.abs(s)) if s.size else 0.0
     asym = np.max(np.abs(s - s.T)) if s.size else 0.0
-    if asym > 1e-10 * max(scale, 1e-300):
+    if asym > 1e-10 * scale:
         raise InvalidInputError(
             f"matrix is not symmetric: max |S - S^T| = {asym!r} vs scale {scale!r}"
         )
-    eigenvalues = np.linalg.eigvalsh(s)
-    threshold = zero_tol * max(1.0, float(scale))
-    zero = int(np.count_nonzero(np.abs(eigenvalues) <= threshold))
-    positive = int(np.count_nonzero(eigenvalues > threshold))
-    negative = len(eigenvalues) - positive - zero
-    return Inertia(positive, negative, zero)
+    return _sign_counts(np.linalg.eigvalsh(s), scale)
 
 
 def _sign_fix(u, v):

@@ -333,7 +333,7 @@ def _pair_update(arr, vecs, i, j, trace):
         raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero") from exc
 
 
-def _als_sweep(arr, vecs, trace):
+def _als_sweep(arr, vecs, trace, _state):
     def update(i, v):
         f, vecs[i] = _normalized(i, v)
         trace._calls += 1
@@ -353,7 +353,7 @@ def _asvd_sweep(arr, vecs, trace, schedule):
     return f
 
 
-def _mals_sweep(arr, vecs, trace):
+def _mals_sweep(arr, vecs, trace, _state):
     # Every remaining candidate depends on the mode just applied, so a round
     # recomputes all of them, at one tuple and in one call, or none when
     # that mode's vector did not change.
@@ -494,34 +494,43 @@ def _check_method_dims(method, d):
         raise UnsupportedError(f"masvd is defined for 3-mode tensors, got {d}")
 
 
+#: method -> (sweep, new_state): ``sweep(arr, vecs, trace, state)`` runs one
+#: sweep and returns f; ``new_state(d)`` makes, once per solve, the state its
+#: sweeps share: asvd's pair schedule and masvd's candidates by frozen mode
+_SWEEPS = {
+    "als": (_als_sweep, lambda d: None),
+    "asvd": (_asvd_sweep, default_pair_schedule),
+    "mals": (_mals_sweep, lambda d: None),
+    "masvd": (_masvd_sweep, lambda d: {}),
+}
+
+
+def _one_sweep(method, t, u):
+    _check_method_dims(method, t.ndim)
+    sweep, new_state = _SWEEPS[method]
+    vecs = [v.copy() for v in u.vectors]
+    sweep(t.array, vecs, SolverTrace(), new_state(t.ndim))
+    return UnitTuple(vecs)
+
+
 def als_sweep(t, u):
     """One full cyclic sweep of single-mode updates; returns the new tuple."""
-    vecs = [v.copy() for v in u.vectors]
-    _als_sweep(t.array, vecs, SolverTrace())
-    return UnitTuple(vecs)
+    return _one_sweep("als", t, u)
 
 
 def asvd_sweep(t, u):
     """One pass of pair updates in the default order for d."""
-    _check_method_dims("asvd", t.ndim)
-    vecs = [v.copy() for v in u.vectors]
-    _asvd_sweep(t.array, vecs, SolverTrace(), default_pair_schedule(t.ndim))
-    return UnitTuple(vecs)
+    return _one_sweep("asvd", t, u)
 
 
 def mals_sweep(t, u):
     """One greedy best-candidate-first sweep of single-mode updates."""
-    vecs = [v.copy() for v in u.vectors]
-    _mals_sweep(t.array, vecs, SolverTrace())
-    return UnitTuple(vecs)
+    return _one_sweep("mals", t, u)
 
 
 def masvd_sweep(t, u):
     """One greedy best-candidate-first sweep of pair updates (3-mode only)."""
-    _check_method_dims("masvd", t.ndim)
-    vecs = [v.copy() for v in u.vectors]
-    _masvd_sweep(t.array, vecs, SolverTrace(), {})
-    return UnitTuple(vecs)
+    return _one_sweep("masvd", t, u)
 
 
 def solve(t, cfg=None, initial=None):
@@ -556,9 +565,8 @@ def solve(t, cfg=None, initial=None):
         vecs = [v.copy() for v in u0.vectors]
         f_current = f_value(t, u0)
     trace = SolverTrace(f_current)
-    if cfg.method == "asvd":
-        schedule = default_pair_schedule(d)
-    cache = {}  # masvd's candidates, by frozen mode
+    sweep, new_state = _SWEEPS[cfg.method]
+    state = new_state(d)
 
     # the Newton finish's target: None unless the solve is tight and the
     # target lies above rounding, so every other solve never reaches it. A
@@ -574,21 +582,14 @@ def solve(t, cfg=None, initial=None):
     converged_by = "max_iterations"
     for _ in range(cfg.max_iterations):
         started = time.perf_counter()
-        if cfg.method == "als":
-            f_after = _als_sweep(arr, vecs, trace)
-        elif cfg.method == "asvd":
-            f_after = _asvd_sweep(arr, vecs, trace, schedule)
-        elif cfg.method == "mals":
-            f_after = _mals_sweep(arr, vecs, trace)
-        else:
-            f_after = _masvd_sweep(arr, vecs, trace, cache)
-        fit = f_after / nrm
+        fit = sweep(arr, vecs, trace, state) / nrm
         change = abs(fit - fit_prev)
         stop = change < tol
         if target is not None and change < retry_below and not (stop and tried):
             tried = True
             s = _newton_finish(arr, vecs, trace, target, NEWTON_F_SLACK * nrm)
-            cache.clear()  # an accepted step may have moved any vector
+            if cfg.method == "masvd":
+                state.clear()  # an accepted step may have moved any vector
             if s is None:
                 retry_below = change / 2
             else:

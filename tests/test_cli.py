@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,22 @@ class TestAmi:
         assert report["ostrowski"] == "True"
         assert report["alpha"] == "5"
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    def test_tiny_scale_gives_unscaled_counts(self, scale, tmp_path, capsys):
+        # every threshold is relative to H's own scale, so H and cH report
+        # the same counts and flags, also where cH is subnormal
+        g = np.random.default_rng(5).standard_normal((4, 4))
+        h = g.T @ g + np.eye(4)
+        reports = []
+        for name, c in (("h.txt", 1.0), ("tiny.txt", scale)):
+            code = cli.main(["ami", "--input", self.write_h(tmp_path, c * h, (2, 2), name)])
+            assert code == 0
+            reports.append(parse_report(capsys.readouterr().out))
+        keys = ("alpha", "beta", "gamma", "pi", "nu", "zeta", "diagonal_blocks_definite",
+                "theorem_holds", "ostrowski", "pi_lower_bound_ok", "unit_circle_near_one")
+        assert [reports[1][k] for k in keys] == [reports[0][k] for k in keys]
+        assert reports[0]["theorem_holds"] == "True"
+
     def test_singular_block_named(self, tmp_path, capsys):
         h = np.eye(4)
         h[2, 2] = h[3, 3] = 0.0
@@ -364,6 +381,26 @@ class TestAmi:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage:" in captured.err and "--sweeps" in captured.err
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            ("1e308 1e308 1e308 1e308", "float64 range"),  # the norm overflows
+            ("1e200 1e200 1e200 1e200", "float64 range"),  # the objective does
+            ("1 0 0", "expected (4,)"),
+        ],
+    )
+    def test_bad_basin_start_is_input_error(self, start, message, tmp_path, capsys):
+        path = self.write_h(tmp_path, np.eye(4), (2, 2))
+        xi_path = tmp_path / "xi.txt"
+        xi_path.write_text(start + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["ami", "--input", path, "--basin", str(xi_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "basin_" not in captured.out
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_zero_sweeps_accepted(self, tmp_path, capsys):
         path = self.write_h(tmp_path, np.eye(4), (2, 2))
