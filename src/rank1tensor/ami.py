@@ -196,13 +196,14 @@ def analyze(q):
     k = _iteration_matrix(q)
     eigenvalues, eigenvectors = np.linalg.eig(k)
 
-    k_norm = float(np.linalg.norm(k, 2))
+    # |K|_F bounds |K|_2 from above and costs no SVD
+    k_norm = float(np.linalg.norm(k))
     residual = float(
         np.max(np.linalg.norm(k @ eigenvectors - eigenvectors * eigenvalues, axis=0))
     )
-    if residual > 1e-8 * max(k_norm, 1e-300):
+    if residual > 1e-8 * k_norm:
         raise NumericsError(
-            f"eigenpair residual {residual!r} exceeds 1e-8 * |K| = {1e-8 * k_norm!r}"
+            f"eigenpair residual {residual!r} exceeds 1e-8 * |K|_F = {1e-8 * k_norm!r}"
         )
 
     moduli = np.abs(eigenvalues)
@@ -242,7 +243,9 @@ def basin_experiment(q, xi0, sweeps):
 
     ``xi0`` is checked once, and the diagonal blocks once when ``sweeps`` is
     positive; the sweeps themselves run unchecked. A start whose norm or
-    objective is not a finite float raises InvalidInputError.
+    objective is not a finite float raises InvalidInputError; a sweep whose
+    norm or objective is not one ends the trajectory as diverged, unrecorded,
+    so ``norms`` and ``f_values`` always hold ``sweeps_run + 1`` values.
 
     The objective sequence never decreases along the iteration; the iterates
     contract to the origin exactly when ``xi0`` lies in the invariant
@@ -259,21 +262,24 @@ def basin_experiment(q, xi0, sweeps):
     if sweeps:
         _check_diagonal_blocks(_block_spectra(q))
     converged = norms[0] <= BASIN_ZERO_NORM
-    run = 0
-    for run in range(1, sweeps + 1):
-        xi = _sweep(q, xi)
-        norms.append(float(np.linalg.norm(xi)))
-        f_values.append(q.f(xi))
-        if norms[-1] <= BASIN_ZERO_NORM:
-            converged = True
-            break
-        if not np.isfinite(norms[-1]) or norms[-1] > BASIN_DIVERGED_NORM:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sweeps):
+            xi = _sweep(q, xi)
+            norm, f = float(np.linalg.norm(xi)), q.f(xi)
+            if not (math.isfinite(norm) and math.isfinite(f)):
+                break
+            norms.append(norm)
+            f_values.append(f)
+            if norm <= BASIN_ZERO_NORM:
+                converged = True
+                break
+            if norm > BASIN_DIVERGED_NORM:
+                break
     return BasinTrajectory(
         norms=norms,
         f_values=f_values,
         converged_to_zero=converged,
-        sweeps_run=run,
+        sweeps_run=len(norms) - 1,
     )
 
 

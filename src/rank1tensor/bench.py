@@ -134,12 +134,9 @@ class BenchRow:
     dims: str
     runs: int
     wall_mean: float
-    wall_min: float
-    wall_max: float
     opt_calls_mean: float
     lambda_mean: float
     rel_error_mean: float
-    fit_mean: float
     records: list = field(repr=False, default_factory=list)
 
 
@@ -151,36 +148,21 @@ def _one_run(spec, method, run):
     try:
         result = solve(data, cfg)
     except Rank1Error as exc:
-        elapsed = time.perf_counter() - started
-        return RunRecord(
-            method=method,
-            dataset=spec.kind,
-            dims=spec.dims_label,
-            run=run,
-            seed=run_seed,
-            iterations=0,
-            opt_calls=0,
-            lambda_=float("nan"),
-            rel_error=float("nan"),
-            fit=float("nan"),
-            converged_by=f"error:{type(exc).__name__}",
-            wall_seconds=elapsed,
-        )
+        result = exc
     elapsed = time.perf_counter() - started
-    return RunRecord(
-        method=method,
-        dataset=spec.kind,
-        dims=spec.dims_label,
-        run=run,
-        seed=run_seed,
-        iterations=result.iterations,
-        opt_calls=result.optimization_calls,
-        lambda_=result.lambda_,
-        rel_error=result.residual / data.norm(),
-        fit=result.fit,
-        converged_by=result.converged_by,
-        wall_seconds=elapsed,
-    )
+    if isinstance(result, Rank1Error):
+        nan = float("nan")
+        outcome = (0, 0, nan, nan, nan, f"error:{type(result).__name__}")
+    else:
+        outcome = (
+            result.iterations,
+            result.optimization_calls,
+            result.lambda_,
+            result.residual / data.norm(),
+            result.fit,
+            result.converged_by,
+        )
+    return RunRecord(method, spec.kind, spec.dims_label, run, run_seed, *outcome, elapsed)
 
 
 def run_bench(specs, methods, runs=10, out_csv=None):
@@ -204,20 +186,16 @@ def run_bench(specs, methods, runs=10, out_csv=None):
         for method in methods:
             group = [_one_run(spec, method, r) for r in range(runs)]
             csv_lines.extend(rec.csv_line() for rec in group)
-            walls = [rec.wall_seconds for rec in group]
             rows.append(
                 BenchRow(
                     method=method,
                     dataset=spec.kind,
                     dims=spec.dims_label,
                     runs=runs,
-                    wall_mean=float(np.mean(walls)),
-                    wall_min=float(np.min(walls)),
-                    wall_max=float(np.max(walls)),
+                    wall_mean=float(np.mean([rec.wall_seconds for rec in group])),
                     opt_calls_mean=float(np.mean([rec.opt_calls for rec in group])),
                     lambda_mean=nanmean([rec.lambda_ for rec in group]),
                     rel_error_mean=nanmean([rec.rel_error for rec in group]),
-                    fit_mean=nanmean([rec.fit for rec in group]),
                     records=group,
                 )
             )

@@ -175,9 +175,6 @@ class UnitTuple:
     def __iter__(self):
         return iter(self.vectors)
 
-    def copy(self):
-        return UnitTuple(self.vectors)
-
     def __repr__(self):
         return f"UnitTuple(dims={self.dims})"
 

@@ -116,7 +116,7 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     for k in range(3):
         i, j = (m for m in range(3) if m != k)
         mat = kernels.contract_all_but_two(arr, u.vectors, i, j)
-        best = linalg.top_singular_triple(mat, mode="dense").sigma
+        best = linalg.top_singular_triple(mat).sigma
         margin = scale * (f - best)
         checks.append(SemiMaxCheck(index=k, margin=margin, passed=margin >= -slack))
     return SemiMaxReport(level="two_semi", tol=tol, checks=checks)

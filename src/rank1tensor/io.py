@@ -125,11 +125,11 @@ def read_tensor_text(path):
     return parse_tensor_text(_read_text(path))
 
 
-def format_tensor_text(t, per_line=8):
+def format_tensor_text(t):
     lines = [str(t.ndim), " ".join(str(m) for m in t.dims)]
     flat = t.data
-    for start in range(0, flat.size, per_line):
-        lines.append(" ".join(f"{x:.17g}" for x in flat[start : start + per_line]))
+    for start in range(0, flat.size, 8):
+        lines.append(" ".join(f"{x:.17g}" for x in flat[start : start + 8]))
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ Gram route is acceptable at the tolerances the solvers run at.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +46,9 @@ SIGN_PIVOT_TOL = 1e-12
 ZERO_EIG_TOL = 1e-8
 
 Inertia = namedtuple("Inertia", ["positive", "negative", "zero"])
-
-
-@dataclass(frozen=True)
-class SingularTriple:
-    """Largest singular value with unit left/right vectors: A v = sigma u."""
-
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
-    squarings: int = 0  # behind a certified answer; 0 when eigh answered
+#: largest singular value with unit left/right vectors, A v = sigma u, and
+#: the squarings behind a certified answer (0 when eigh answered)
+SingularTriple = namedtuple("SingularTriple", ["sigma", "u", "v", "squarings"])
 
 
 def _sign_counts(eigenvalues, scale, tol=ZERO_EIG_TOL):
@@ -127,26 +119,24 @@ def _certified_top_eigvec(g, trace):
     return None
 
 
-def top_singular_triple(a, mode="auto"):
+def top_singular_triple(a):
     """Largest singular value and vectors of a nonzero real matrix.
 
-    mode 'auto' takes the certified squaring route when the smaller side is
-    at least SQUARING_MIN_SIDE and falls back to the dense route when its
-    certificate fails; 'dense' always takes the dense eigendecomposition of
-    the Gram matrix (see the module docstring). Either way the first
-    non-negligible entry of u is positive.
+    The matrix picks the route (see the module docstring): the certified
+    squaring route when the smaller side is at least SQUARING_MIN_SIDE, read
+    at call time, and the dense eigendecomposition of the Gram matrix below
+    it or when the certificate fails. The first non-negligible entry of u is
+    positive.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
-    if mode not in ("auto", "dense"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
     wide = a.shape[0] <= a.shape[1]
     gram = a @ a.T if wide else a.T @ a
     # a positive trace, or top eigenvalue, of the Gram matrix proves a
     # nonzero; only otherwise is a scanned
     found = None
-    if mode == "auto" and gram.shape[0] >= SQUARING_MIN_SIDE:
+    if gram.shape[0] >= SQUARING_MIN_SIDE:
         trace = gram.trace()
         if not trace > 0.0 and not np.any(a):
             raise DegenerateInputError("matrix is identically zero")

@@ -30,8 +30,8 @@ sweep is one dimension-tree pass and each mals round computes all of its
 stale candidates in one call, so an als sweep reads the tensor twice and a
 mals sweep d + 1 times.
 The pair steps take the top singular pair from
-:func:`linalg.top_singular_triple` in its default mode, which does not
-depend on the current iterate.
+:func:`linalg.top_singular_triple`, which does not depend on the current
+iterate.
 All methods share one stopping rule: after each full sweep, stop when the
 change in fit = f/|T| drops below ``fitchange_tol``, or when
 ``max_iterations`` sweeps have run. A fit-change stop places a tuple only
@@ -197,10 +197,6 @@ class SolverTrace:
         yield self.f_initial
         yield from self.f_after
 
-    @property
-    def total_opt_calls(self):
-        return self.opt_calls[-1] if self.opt_calls else 0
-
 
 @dataclass
 class Rank1Result:
@@ -219,19 +215,11 @@ class Rank1Result:
     #: None unless converged_by is "stationary"
     stationarity: Optional[float] = None
 
-    def rank1(self):
-        from .core import Rank1Tensor
 
-        return Rank1Tensor(self.lambda_, self.axes)
-
-
-def init_random(dims, seed=0, tensor=None):
+def init_random(dims, seed=0):
     """Uniformly random point on the sphere product (normalized Gaussians),
     deterministic per seed (a ``np.random.Generator`` is drawn from in
-    place). When ``tensor`` is given, resamples until the objective is
-    nonzero, at most ``START_RETRIES`` times."""
-    if tensor is not None:
-        return UnitTuple(_random_start(dims, seed, tensor)[0])
+    place)."""
     dims = tuple(int(m) for m in dims)
     if not dims or any(m < 1 for m in dims):
         raise DimensionError(f"invalid dims {dims}")
@@ -260,7 +248,7 @@ def _draw_unit_vectors(rng, dims):
 
 def _random_start(dims, seed, t):
     # the first random unit vectors with a nonzero objective, and that
-    # objective
+    # objective; at most START_RETRIES draws
     rng = _rng(seed)
     for _ in range(START_RETRIES):
         vecs = _draw_unit_vectors(rng, dims)
@@ -282,11 +270,7 @@ def init_hosvd(t):
         raise DegenerateInputError("cannot initialize from the zero tensor")
     if arr is not t.array:
         t = Tensor(arr, copy=False)
-    vecs = [
-        linalg.top_singular_triple(unfold(t, i), mode="dense").u
-        for i in range(t.ndim)
-    ]
-    return UnitTuple(vecs)
+    return UnitTuple([linalg.top_singular_triple(unfold(t, i)).u for i in range(t.ndim)])
 
 
 def default_pair_schedule(d):
@@ -333,7 +317,7 @@ def _pair_update(arr, vecs, i, j, trace):
         raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero") from exc
 
 
-def _als_sweep(arr, vecs, trace, _state):
+def _als_sweep(arr, vecs, trace, _cache):
     def update(i, v):
         f, vecs[i] = _normalized(i, v)
         trace._calls += 1
@@ -343,9 +327,9 @@ def _als_sweep(arr, vecs, trace, _state):
     return trace.f_after[-1]
 
 
-def _asvd_sweep(arr, vecs, trace, schedule):
+def _asvd_sweep(arr, vecs, trace, _cache):
     f = None
-    for i, j in schedule:
+    for i, j in default_pair_schedule(arr.ndim):
         triple = _pair_update(arr, vecs, i, j, trace)
         vecs[i], vecs[j] = triple.u, triple.v
         f = triple.sigma
@@ -353,11 +337,11 @@ def _asvd_sweep(arr, vecs, trace, schedule):
     return f
 
 
-def _mals_sweep(arr, vecs, trace, _state):
+def _mals_sweep(arr, vecs, trace, cache):
     # Every remaining candidate depends on the mode just applied, so a round
     # recomputes all of them, at one tuple and in one call, or none when
-    # that mode's vector did not change.
-    cache = {}
+    # that mode's vector did not change; the first round fills every entry
+    # of ``cache``, so nothing is carried between sweeps.
     remaining = list(range(arr.ndim))
     changed = True
     f = None
@@ -386,8 +370,8 @@ _MASVD_PAIRS = ((1, 2), (0, 2), (0, 1))
 def _masvd_sweep(arr, vecs, trace, cache):
     # Candidate k freezes x_k and replaces the other two vectors by the top
     # singular pair of the contracted matrix; it depends on x_k only, so
-    # ``cache`` keeps it, across sweeps too, until x_k changes. A
-    # candidate carried into a sweep still counts as an optimization call.
+    # the solve's ``cache`` keeps it, across sweeps too, until x_k changes.
+    # A candidate carried into a sweep still counts as an optimization call.
     trace._calls += len(cache)
     remaining = [0, 1, 2]
     while remaining:
@@ -494,22 +478,21 @@ def _check_method_dims(method, d):
         raise UnsupportedError(f"masvd is defined for 3-mode tensors, got {d}")
 
 
-#: method -> (sweep, new_state): ``sweep(arr, vecs, trace, state)`` runs one
-#: sweep and returns f; ``new_state(d)`` makes, once per solve, the state its
-#: sweeps share: asvd's pair schedule and masvd's candidates by frozen mode
+#: method -> ``sweep(arr, vecs, trace, cache)``, which runs one sweep and
+#: returns f; ``cache`` is one dict per solve, where masvd keeps its
+#: candidates by frozen mode, emptied after every Newton finish attempt
 _SWEEPS = {
-    "als": (_als_sweep, lambda d: None),
-    "asvd": (_asvd_sweep, default_pair_schedule),
-    "mals": (_mals_sweep, lambda d: None),
-    "masvd": (_masvd_sweep, lambda d: {}),
+    "als": _als_sweep,
+    "asvd": _asvd_sweep,
+    "mals": _mals_sweep,
+    "masvd": _masvd_sweep,
 }
 
 
 def _one_sweep(method, t, u):
     _check_method_dims(method, t.ndim)
-    sweep, new_state = _SWEEPS[method]
     vecs = [v.copy() for v in u.vectors]
-    sweep(t.array, vecs, SolverTrace(), new_state(t.ndim))
+    _SWEEPS[method](t.array, vecs, SolverTrace(), {})
     return UnitTuple(vecs)
 
 
@@ -548,8 +531,7 @@ def solve(t, cfg=None, initial=None):
         raise DegenerateInputError("the zero tensor has no rank-one direction")
     if not math.isfinite(scale * math.sqrt(nrm2)):
         raise InvalidInputError("the tensor's norm exceeds the float64 range")
-    d = t.ndim
-    _check_method_dims(cfg.method, d)
+    _check_method_dims(cfg.method, t.ndim)
     if initial is not None and initial.dims != t.dims:
         raise DimensionError(
             f"initial tuple dims {initial.dims} do not match {t.dims}"
@@ -565,8 +547,8 @@ def solve(t, cfg=None, initial=None):
         vecs = [v.copy() for v in u0.vectors]
         f_current = f_value(t, u0)
     trace = SolverTrace(f_current)
-    sweep, new_state = _SWEEPS[cfg.method]
-    state = new_state(d)
+    sweep = _SWEEPS[cfg.method]
+    cache = {}
 
     # the Newton finish's target: None unless the solve is tight and the
     # target lies above rounding, so every other solve never reaches it. A
@@ -582,14 +564,13 @@ def solve(t, cfg=None, initial=None):
     converged_by = "max_iterations"
     for _ in range(cfg.max_iterations):
         started = time.perf_counter()
-        fit = sweep(arr, vecs, trace, state) / nrm
+        fit = sweep(arr, vecs, trace, cache) / nrm
         change = abs(fit - fit_prev)
         stop = change < tol
         if target is not None and change < retry_below and not (stop and tried):
             tried = True
             s = _newton_finish(arr, vecs, trace, target, NEWTON_F_SLACK * nrm)
-            if cfg.method == "masvd":
-                state.clear()  # an accepted step may have moved any vector
+            cache.clear()  # an accepted step may have moved any vector
             if s is None:
                 retry_below = change / 2
             else:
@@ -617,7 +598,7 @@ def solve(t, cfg=None, initial=None):
         residual=scale * residual,
         converged_by=converged_by,
         iterations=len(trace.sweep_ends),
-        optimization_calls=trace.total_opt_calls,
+        optimization_calls=trace.opt_calls[-1],
         trace=trace,
         stationarity=stationarity,
     )

@@ -159,9 +159,7 @@ def test_criterion_05_pair_step_dominance():
         i, j = sorted(int(x) for x in rng.choice(3, size=2, replace=False))
         a_i = float(np.linalg.norm(contract_all_but_one(t.array, u.vectors, i)))
         a_j = float(np.linalg.norm(contract_all_but_one(t.array, u.vectors, j)))
-        b_ij = top_singular_triple(
-            contract_all_but_two(t.array, u.vectors, i, j), mode="dense"
-        ).sigma
+        b_ij = top_singular_triple(contract_all_but_two(t.array, u.vectors, i, j)).sigma
         if b_ij < max(a_i, a_j) - 1e-12:
             violations += 1
     ok = violations == 0

@@ -1,7 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from rank1tensor import DimensionError, InvalidInputError, SingularBlockError, Tensor
+from rank1tensor import (
+    DimensionError,
+    InvalidInputError,
+    SingularBlockError,
+    Tensor,
+    UnitTuple,
+)
 from rank1tensor.ami import (
     BlockQuadraticForm,
     ami_sweep,
@@ -12,7 +20,7 @@ from rank1tensor.ami import (
 )
 from rank1tensor.core import f_from_arrays, tangent_basis, tangent_hessian
 from rank1tensor.linalg import inertia
-from rank1tensor.solvers import SolverConfig, als_sweep, init_random, solve
+from rank1tensor.solvers import SolverConfig, _random_start, als_sweep, init_random, solve
 
 import oracles
 from ami_instances import instance_stream
@@ -154,6 +162,15 @@ class TestAnalyze:
         assert report.theorem_holds is None
         assert not report.diagonal_blocks_definite
 
+    def test_block_diagonal_form_has_zero_iteration_matrix(self):
+        # K = 0: every eigenpair residual is exactly zero, and |K|_F = 0
+        h = np.diag([2.0, 1.0, 3.0, 0.5])
+        h[0, 1] = h[1, 0] = 0.5
+        report = analyze(BlockQuadraticForm(h, (2, 2)))
+        assert report.spectral_radius == 0.0
+        assert (report.alpha, report.beta, report.gamma) == (4, 0, 0)
+        assert report.theorem_holds is True
+
 
 class TestBasinExperiment:
     def test_contraction_for_definite_form(self):
@@ -196,6 +213,24 @@ class TestBasinExperiment:
         trajectory = basin_experiment(form, null, sweeps=20)
         assert not trajectory.converged_to_zero
         assert trajectory.norms[-1] == pytest.approx(trajectory.norms[0], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "coupling, xi0, norms",
+        [(1e30, [0.0, 1e100], [1e100]), (1e20, [0.0, 1.0], [1.0, 1e40, 1e80, 1e120])],
+    )
+    def test_overflowing_sweep_ends_as_diverged(self, coupling, xi0, norms):
+        # K's eigenvalue is coupling^2, so the norm grows by that factor per
+        # sweep; the sweep whose norm or objective overflows ends the
+        # trajectory unrecorded, with no NumPy warning
+        form = BlockQuadraticForm([[1.0, coupling], [coupling, 1.0]], (1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory = basin_experiment(form, xi0, 100)
+        assert trajectory.norms == pytest.approx(norms, rel=1e-12)
+        assert len(trajectory.f_values) == len(norms)
+        assert all(np.isfinite(trajectory.f_values))
+        assert trajectory.sweeps_run == len(norms) - 1
+        assert not trajectory.converged_to_zero
 
 
 def perfbench_form(seed, order, nblocks=3):
@@ -387,7 +422,7 @@ def als_tail(dims, seed):
     takes (it stops on that fit change or on certified stationarity), then
     200 more; the last tuple is x* and errors[k] = |x_k - x*|."""
     t = Tensor(np.random.default_rng(seed).standard_normal(dims))
-    u0 = init_random(dims, seed=seed, tensor=t)
+    u0 = UnitTuple(_random_start(dims, seed, t)[0])
     cfg = SolverConfig(max_iterations=100_000, fitchange_tol=1e-15)
     result = solve(t, cfg, initial=u0)
     assert result.converged_by in ("fitchange", "stationary")

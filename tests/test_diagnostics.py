@@ -143,8 +143,7 @@ class TestScaleRobustness:
                 f = f_value(t, u)
                 margins = [
                     f - linalg.top_singular_triple(
-                        kernels.contract_all_but_two(t.array, u.vectors, i, j),
-                        mode="dense",
+                        kernels.contract_all_but_two(t.array, u.vectors, i, j)
                     ).sigma
                     for i, j in [(1, 2), (0, 2), (0, 1)]
                 ]

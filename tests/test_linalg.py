@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rank1tensor import DegenerateInputError, InvalidInputError
+from rank1tensor import DegenerateInputError, InvalidInputError, linalg
 from rank1tensor.linalg import (
     FIRST_CHECK_SQUARINGS,
     SQUARING_MIN_SIDE,
@@ -69,7 +71,7 @@ class TestInertia:
 
 class TestTopSingularTripleDense:
     def test_diagonal(self):
-        trip = top_singular_triple(np.diag([3.0, 1.0]), mode="dense")
+        trip = top_singular_triple(np.diag([3.0, 1.0]))
         assert trip.sigma == pytest.approx(3.0, rel=1e-14)
         assert np.allclose(trip.u, [1.0, 0.0])
         assert np.allclose(trip.v, [1.0, 0.0])
@@ -80,12 +82,12 @@ class TestTopSingularTripleDense:
         p *= 2.0 / np.linalg.norm(p)
         q = rng.standard_normal(4)
         q *= 5.0 / np.linalg.norm(q)
-        trip = top_singular_triple(np.outer(p, q), mode="dense")
+        trip = top_singular_triple(np.outer(p, q))
         assert trip.sigma == pytest.approx(10.0, rel=1e-12)
 
     def test_matches_jacobi_oracle(self):
         a = np.random.default_rng(4).standard_normal((8, 6))
-        trip = top_singular_triple(a, mode="dense")
+        trip = top_singular_triple(a)
         s, u, v = oracles.jacobi_svd(a)
         assert trip.sigma == pytest.approx(s[0], rel=1e-10)
         assert min(
@@ -95,7 +97,7 @@ class TestTopSingularTripleDense:
     def test_defining_relations(self):
         for seed, shape in enumerate([(7, 3), (3, 7), (5, 5)]):
             a = np.random.default_rng(10 + seed).standard_normal(shape)
-            trip = top_singular_triple(a, mode="dense")
+            trip = top_singular_triple(a)
             scale = np.linalg.norm(a, 2)
             assert abs(np.linalg.norm(trip.u) - 1.0) <= 1e-12
             assert abs(np.linalg.norm(trip.v) - 1.0) <= 1e-12
@@ -104,16 +106,16 @@ class TestTopSingularTripleDense:
 
     def test_sign_convention_deterministic(self):
         a = np.random.default_rng(5).standard_normal((4, 4))
-        trip1 = top_singular_triple(a, mode="dense")
-        trip2 = top_singular_triple(-a, mode="dense")  # same Gram matrix
+        trip1 = top_singular_triple(a)
+        trip2 = top_singular_triple(-a)  # same Gram matrix
         first = trip1.u[np.argmax(np.abs(trip1.u) > 1e-12)]
         assert first > 0
         assert np.allclose(trip1.u, trip2.u)
 
     def test_transpose_swaps_vectors(self):
         a = np.random.default_rng(6).standard_normal((6, 4))
-        t1 = top_singular_triple(a, mode="dense")
-        t2 = top_singular_triple(a.T, mode="dense")
+        t1 = top_singular_triple(a)
+        t2 = top_singular_triple(a.T)
         assert t1.sigma == pytest.approx(t2.sigma, rel=1e-12)
         assert min(
             np.linalg.norm(t1.u - t2.v), np.linalg.norm(t1.u + t2.v)
@@ -135,7 +137,7 @@ class TestTopSingularTripleDense:
 
     def test_matches_angle_grid_search_2x2(self):
         a = np.random.default_rng(7).standard_normal((2, 2))
-        trip = top_singular_triple(a, mode="dense")
+        trip = top_singular_triple(a)
         theta = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
         x = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         grid = float(np.max(x @ a @ x.T))
@@ -143,8 +145,10 @@ class TestTopSingularTripleDense:
 
 
 class TestTopSingularTripleIterative:
-    """Mode 'auto': the certified repeated-squaring route from
-    SQUARING_MIN_SIDE up, with the dense route as its fallback."""
+    """The certified repeated-squaring route from SQUARING_MIN_SIDE up, with
+    the dense route as its fallback. SQUARING_MIN_SIDE is read at call time,
+    so a test forces the dense route for a reference by raising it past
+    every side."""
 
     @staticmethod
     def sign_free_distance(x, y):
@@ -210,24 +214,28 @@ class TestTopSingularTripleIterative:
         assert np.array_equal(trip1.u, trip2.u)
         assert np.array_equal(trip1.v, -trip2.v)
 
-    def test_auto_threshold(self):
+    def test_auto_threshold(self, monkeypatch):
+        # one below the threshold the dense route answers; with the
+        # threshold lowered by one, the same matrix takes the squaring route
         side = SQUARING_MIN_SIDE - 1
         a = np.random.default_rng(34).standard_normal((side, side + 5))
-        auto = top_singular_triple(a, mode="auto")
-        dense = top_singular_triple(a, mode="dense")
-        assert auto.squarings == 0
+        auto = top_singular_triple(a)
+        monkeypatch.setattr(linalg, "SQUARING_MIN_SIDE", side)
+        assert top_singular_triple(a).squarings > 0
+        monkeypatch.setattr(linalg, "SQUARING_MIN_SIDE", math.inf)
+        dense = top_singular_triple(a)
+        assert auto.squarings == 0 and dense.squarings == 0
         assert auto.sigma == dense.sigma
         assert np.array_equal(auto.u, dense.u) and np.array_equal(auto.v, dense.v)
 
-    def test_auto_picks_iterative_above_side_limit(self):
+    def test_auto_picks_iterative_above_side_limit(self, monkeypatch):
         for side in (SQUARING_MIN_SIDE, 70):
             a = np.random.default_rng(35).standard_normal((side + 3, side))
-            auto = top_singular_triple(a, mode="auto")
-            dense = top_singular_triple(a, mode="dense")
+            auto = top_singular_triple(a)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "SQUARING_MIN_SIDE", math.inf)
+                dense = top_singular_triple(a)
             assert auto.squarings > 0  # the squaring route answered
+            assert dense.squarings == 0
             assert abs(auto.sigma - dense.sigma) <= 1e-13 * dense.sigma
             assert self.sign_free_distance(auto.u, dense.u) <= 1e-10
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            top_singular_triple(np.eye(3), mode="iterative")

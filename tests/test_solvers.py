@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -67,7 +68,7 @@ class TestInitRandom:
 
     def test_zero_objective_exhausts_retries(self):
         with pytest.raises(DegenerateInputError):
-            init_random((2, 2, 2), seed=0, tensor=Tensor.zeros((2, 2, 2)))
+            _random_start((2, 2, 2), 0, Tensor.zeros((2, 2, 2)))
 
 
 def reference_start(dims, seed):
@@ -90,11 +91,7 @@ class TestStartStream:
         expected = reference_start(dims, seed)
         t = random_tensor(dims, 1)
         vecs, f = _random_start(dims, seed, t)
-        starts = [
-            vecs,
-            init_random(dims, seed=seed).vectors,
-            init_random(dims, seed=seed, tensor=t).vectors,
-        ]
+        starts = [vecs, init_random(dims, seed=seed).vectors]
         for start in starts:
             assert len(start) == len(dims)
             assert all(np.array_equal(x, y) for x, y in zip(start, expected))
@@ -150,7 +147,26 @@ class TestInitHosvd:
         from rank1tensor.core import unfold
 
         for i, got in enumerate(init_hosvd(t)):
-            assert np.array_equal(got, top_singular_triple(unfold(t, i), mode="dense").u)
+            assert np.array_equal(got, top_singular_triple(unfold(t, i)).u)
+
+    def test_a_long_mode_takes_the_solvers_route(self, monkeypatch):
+        # the mode-0 unfolding is 22 x 30, so its Gram side reaches
+        # SQUARING_MIN_SIDE and the squaring route answers; the dense route,
+        # forced by raising the threshold, agrees up to sign
+        t = random_tensor((22, 5, 6), 20)
+        from rank1tensor.core import unfold
+
+        got = init_hosvd(t)
+        unfoldings = [unfold(t, i) for i in range(3)]
+        assert min(unfoldings[0].shape) >= linalg.SQUARING_MIN_SIDE
+        assert top_singular_triple(unfoldings[0]).squarings > 0
+        for x, a in zip(got, unfoldings):
+            assert np.array_equal(x, top_singular_triple(a).u)
+        monkeypatch.setattr(linalg, "SQUARING_MIN_SIDE", math.inf)
+        for x, a in zip(got, unfoldings):
+            dense = top_singular_triple(a)
+            assert dense.squarings == 0
+            assert min(np.linalg.norm(x - dense.u), np.linalg.norm(x + dense.u)) <= 1e-10
 
 
 class TestAlsSweep:
@@ -221,7 +237,7 @@ class TestAsvdSweep:
             a_i = np.linalg.norm(kernels.contract_all_but_one(t.array, u.vectors, i))
             a_j = np.linalg.norm(kernels.contract_all_but_one(t.array, u.vectors, j))
             b_ij = top_singular_triple(
-                kernels.contract_all_but_two(t.array, u.vectors, i, j), mode="dense"
+                kernels.contract_all_but_two(t.array, u.vectors, i, j)
             ).sigma
             assert b_ij >= max(a_i, a_j) - 1e-12
 
@@ -407,9 +423,9 @@ class TestMasvdCarry:
     def pair_steps(self, monkeypatch):
         calls = []
 
-        def spy(a, mode="auto"):
+        def spy(a):
             calls.append(a.shape)
-            return top_singular_triple(a, mode)
+            return top_singular_triple(a)
 
         monkeypatch.setattr(linalg, "top_singular_triple", spy)
         return calls
@@ -572,17 +588,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["asvd", "masvd"])
     def test_squaring_route_matches_dense_route(self, method, monkeypatch):
-        # 32x32 pair matrices take the squaring route; the pair step looks
-        # top_singular_triple up at call time, so the dense route can be
-        # patched in for the reference run
+        # 32x32 pair matrices take the squaring route; top_singular_triple
+        # reads SQUARING_MIN_SIDE at call time, so raising it past every side
+        # forces the dense route for the reference run
         t = random_tensor((32, 32, 32), 47)
         cfg = SolverConfig(method=method, seed=48, max_iterations=2000,
                            fitchange_tol=1e-12)
         squarings = []
         original = linalg.top_singular_triple
 
-        def spy(a, mode="auto"):
-            triple = original(a, mode)
+        def spy(a):
+            triple = original(a)
             squarings.append(triple.squarings)
             return triple
 
@@ -592,10 +608,10 @@ class TestSolve:
         assert monotone(fast.trace, t.norm())
         if method == "masvd":
             assert check_semi_max(t, fast.axes, level=2).passed
-        monkeypatch.setattr(
-            linalg, "top_singular_triple", lambda a: original(a, mode="dense")
-        )
+        monkeypatch.setattr(linalg, "SQUARING_MIN_SIDE", math.inf)
+        squarings.clear()
         dense = solve(t, cfg)
+        assert squarings and max(squarings) == 0  # the dense route answered
         assert fast.lambda_ == pytest.approx(dense.lambda_, rel=1e-12)
         assert fast.iterations == dense.iterations
         assert fast.optimization_calls == dense.optimization_calls
