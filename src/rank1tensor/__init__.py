@@ -6,18 +6,11 @@ semi-maximality diagnostics, a block Gauss-Seidel spectrum analyzer for the
 local alternating iteration, and a benchmark harness. Submodules:
 ``core``, ``linalg``, ``solvers``, ``diagnostics``, ``ami``, ``bench``,
 ``io``, ``cli``, ``kernels``.
+Every contraction runs in ``kernels``; the package exports no tensor
+algebra beyond ``f_value``, ``residual_norm`` and ``unfold``.
 """
 
-from .core import (
-    Rank1Tensor,
-    Tensor,
-    UnitTuple,
-    contract,
-    f_value,
-    inner,
-    residual_norm,
-    unfold,
-)
+from .core import Tensor, UnitTuple, f_value, residual_norm, unfold
 from .errors import (
     BreakdownError,
     DegenerateInputError,
@@ -36,9 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "UnitTuple",
-    "Rank1Tensor",
-    "inner",
-    "contract",
     "unfold",
     "f_value",
     "residual_norm",

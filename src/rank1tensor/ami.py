@@ -22,7 +22,9 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .core import f_from_arrays, split_scale, tangent_basis, tangent_hessian
+from .core import (
+    _check_tuple_dims, f_from_arrays, split_scale, tangent_basis, tangent_hessian
+)
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -301,8 +303,7 @@ def hessian_form_at(t, u):
     local maximum the diagonal blocks are positive definite, :func:`analyze`
     applies, and its spectral radius is the local linear rate of als.
     """
-    if t.dims != u.dims:
-        raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
+    _check_tuple_dims(t, u)
     if min(t.dims) < 2:
         raise InvalidInputError("tangent coordinates need every m_i >= 2")
     bases = [tangent_basis(x) for x in u.vectors]

@@ -51,6 +51,14 @@ def _count(text):
     return int(text)
 
 
+def _tolerance(text):
+    # a number >= 0, inf included; float() rejects what is not a number
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _fmt(value):
     return f"{value:.12g}"
 
@@ -207,7 +215,7 @@ def build_parser():
     p.add_argument("--tuple", required=True, help="tuple text file (d vectors)")
     p.add_argument("--level", type=int, default=1, choices=(1, 2))
     p.add_argument(
-        "--tol", type=float, default=1e-6, help="margin tolerance (default 1e-6)"
+        "--tol", type=_tolerance, default=1e-6, help="margin tolerance (default 1e-6)"
     )
     p.set_defaults(func=cmd_verify)
 
@@ -242,7 +250,7 @@ def main(argv=None):
     except BreakdownError as exc:
         print(f"solver breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
-    except (OSError, Rank1Error) as exc:
+    except (MemoryError, OSError, Rank1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,13 +5,13 @@ Conventions
 * Entries are 64-bit floats stored row-major (last index fastest).
 * Modes are 0-based everywhere in the API.
 * ``unfold(T, i)`` puts mode ``i`` on the rows; the columns run over the
-  remaining modes in increasing order, last fastest. This is consistent with
-  ``contract`` in the sense that contracting all modes but ``i`` against an
-  outer product equals ``unfold(T, i) @ flat(outer product)``.
+  remaining modes in increasing order, last fastest. So the all-but-one
+  contraction ``kernels.contract_all_but_one(T, vectors, i)`` equals
+  ``unfold(T, i)`` times the flattened outer product of the other vectors,
+  taken in increasing mode order.
 """
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class Tensor:
         self.array = arr
 
     @classmethod
-    def zeros(cls, dims):
-        return cls(np.zeros(tuple(dims)), copy=False)
-
-    @classmethod
     def from_flat(cls, dims, values):
         """Build from a flat value sequence in row-major order."""
         dims = tuple(int(m) for m in dims)
@@ -86,9 +82,6 @@ class Tensor:
         for any finite entries whose norm is a float."""
         _, scale, sq = split_scale(self.array)
         return scale * math.sqrt(sq)
-
-    def copy(self):
-        return Tensor(self.array, copy=True)
 
     def __repr__(self):
         return f"Tensor(dims={self.dims})"
@@ -179,66 +172,9 @@ class UnitTuple:
         return f"UnitTuple(dims={self.dims})"
 
 
-class Rank1Tensor:
-    """scale * x_1 (x) ... (x) x_d with unit axes; its norm is |scale|."""
-
-    __slots__ = ("scale", "axes")
-
-    def __init__(self, scale, axes):
-        self.scale = float(scale)
-        self.axes = axes if isinstance(axes, UnitTuple) else UnitTuple(axes)
-
-    def to_tensor(self):
-        full = reduce(np.multiply.outer, self.axes.vectors)
-        return Tensor(self.scale * full, copy=False)
-
-    def norm(self):
-        return abs(self.scale)
-
-    def __repr__(self):
-        return f"Rank1Tensor(scale={self.scale!r}, dims={self.axes.dims})"
-
-
-def _check_same_dims(t, s):
-    if t.dims != s.dims:
-        raise DimensionError(f"shape mismatch: {t.dims} vs {s.dims}")
-
-
 def _check_tuple_dims(t, u):
     if t.dims != u.dims:
         raise DimensionError(f"tuple dims {u.dims} do not match tensor dims {t.dims}")
-
-
-def inner(t, s):
-    """Standard inner product of two tensors of identical shape."""
-    _check_same_dims(t, s)
-    return float(np.dot(t.data, s.data))
-
-
-def contract(t, modes, x):
-    """Contract ``t`` with ``x`` over the given strictly increasing modes.
-
-    ``x`` must have the shape of the selected modes of ``t`` (in mode order).
-    Returns a Tensor over the complementary modes; a float when every mode is
-    contracted; ``t`` unchanged (as a copy) when ``modes`` is empty.
-    """
-    modes = tuple(int(m) for m in modes)
-    d = t.ndim
-    if any(m < 0 or m >= d for m in modes):
-        raise DimensionError(f"modes {modes} out of range for a {d}-mode tensor")
-    if any(a >= b for a, b in zip(modes, modes[1:])):
-        raise DimensionError(f"modes must be strictly increasing, got {modes}")
-    if not modes:
-        return t.copy()
-    expected = tuple(t.dims[m] for m in modes)
-    if x.dims != expected:
-        raise DimensionError(
-            f"contraction operand has dims {x.dims}, expected {expected}"
-        )
-    out = np.tensordot(t.array, x.array, axes=(modes, tuple(range(len(modes)))))
-    if out.ndim == 0:
-        return float(out)
-    return Tensor(out, copy=False)
 
 
 def mode_residual(x, v):

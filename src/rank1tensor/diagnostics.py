@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .core import UnitTuple, f_from_arrays, mode_residual, split_scale
+from .core import (
+    UnitTuple, _check_tuple_dims, f_from_arrays, mode_residual, split_scale
+)
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
 #: default margin for checks after an alternating solve, relative to |T|
@@ -66,8 +68,7 @@ def criticality(t, u):
     contraction against the other vectors, its multiplier x_i^T v_i, and the
     residual |v_i - lambda_i x_i|. At an exact critical point all residuals
     vanish and the multipliers coincide."""
-    if t.dims != u.dims:
-        raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
+    _check_tuple_dims(t, u)
     arr, scale, _ = split_scale(t.array)
     lambdas = []
     residuals = []
@@ -93,10 +94,11 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     value of the matrix contracted against the frozen vector. A check passes
     when the shortfall is at most ``tol * |T|``.
     """
-    if t.dims != u.dims:
-        raise DimensionError(f"tuple dims {u.dims} do not match {t.dims}")
+    _check_tuple_dims(t, u)
     if level not in (1, 2):
         raise InvalidInputError(f"level must be 1 or 2, got {level!r}")
+    if not tol >= 0.0:
+        raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
     if level == 2 and t.ndim != 3:
         raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
@@ -122,30 +124,45 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     return SemiMaxReport(level="two_semi", tol=tol, checks=checks)
 
 
+def _power(base, exponent, what):
+    # base ** exponent, which must be a positive float (Python's ** raises on overflow)
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{what} {value!r} is not a positive finite float")
+    return value
+
+
 def fixed_point_from_tuple(u, lam):
     """Scale a unit tuple with multiplier ``lam > 0`` into the corresponding
-    fixed point of the induced map: every vector times lam^(-1/(d-2))."""
+    fixed point of the induced map: every vector times lam^(-1/(d-2)).
+    Raises :class:`InvalidInputError` when that factor is not a float."""
     d = len(u)
     if d <= 2:
         raise UnsupportedError("the fixed-point correspondence needs d > 2")
     if not lam > 0.0:
         raise InvalidInputError(f"the multiplier must be positive, got {lam!r}")
-    scale = lam ** (-1.0 / (d - 2))
+    scale = _power(lam, -1.0 / (d - 2), "the fixed point's scale factor")
     vectors = u.vectors if isinstance(u, UnitTuple) else u
     return [scale * np.asarray(v, dtype=np.float64) for v in vectors]
 
 
 def tuple_from_fixed_point(vectors):
     """Inverse of :func:`fixed_point_from_tuple`: normalize a nonzero fixed
-    point back to the sphere product and recover lambda = |u_1|^(-(d-2))."""
+    point back to the sphere product and recover lambda = |u_1|^(-(d-2)),
+    at any finite scale; raises :class:`InvalidInputError` if lambda is not
+    a positive float."""
     d = len(vectors)
     if d <= 2:
         raise UnsupportedError("the fixed-point correspondence needs d > 2")
-    norms = [np.linalg.norm(v) for v in vectors]
-    if min(norms) == 0.0:
+    parts = [split_scale(np.asarray(v, dtype=np.float64)) for v in vectors]
+    if min(sq for _, _, sq in parts) == 0.0:
         raise InvalidInputError("fixed point has a zero component")
-    lam = float(norms[0] ** (-(d - 2)))
-    return UnitTuple([v / n for v, n in zip(vectors, norms)]), lam
+    a, scale, sq = parts[0]
+    lam = _power(scale * math.sqrt(sq), -(d - 2), "the multiplier")
+    return UnitTuple([a / math.sqrt(sq) for a, _, sq in parts]), lam
 
 
 def apply_F(t, vectors):
@@ -165,11 +182,10 @@ def apply_F(t, vectors):
 
 
 def fixed_point_residual(t, vectors):
-    """|F(v) - v| over the concatenated components."""
+    """|F(v) - v| over the concatenated components, at any finite scale."""
     fv = apply_F(t, vectors)
-    return float(
-        np.sqrt(sum(float(np.dot(r - v, r - v)) for r, v in zip(fv, vectors)))
-    )
+    _, scale, sq = split_scale(np.concatenate([r - v for r, v in zip(fv, vectors)]))
+    return scale * math.sqrt(sq)
 
 
 def jacobian_check_origin(t, h=1e-3):

@@ -69,6 +69,7 @@ from . import kernels, linalg
 from .core import (
     Tensor,
     UnitTuple,
+    _check_tuple_dims,
     f_from_arrays,
     f_value,
     mode_residual,
@@ -532,10 +533,8 @@ def solve(t, cfg=None, initial=None):
     if not math.isfinite(scale * math.sqrt(nrm2)):
         raise InvalidInputError("the tensor's norm exceeds the float64 range")
     _check_method_dims(cfg.method, t.ndim)
-    if initial is not None and initial.dims != t.dims:
-        raise DimensionError(
-            f"initial tuple dims {initial.dims} do not match {t.dims}"
-        )
+    if initial is not None:
+        _check_tuple_dims(t, initial)
     if arr is not t.array:
         t = Tensor(arr, copy=False)
     nrm = math.sqrt(nrm2)

@@ -159,6 +159,25 @@ class TestVerify:
         assert code == 3
         assert 1e-4 <= float(report["max_residual"]) <= 1.0  # about 1e-2 scale
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "abc"])
+    def test_bad_tol_rejected_before_any_report(self, plant_files, tol, capsys):
+        _, _, tensor_path, tuple_path = plant_files
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--input", tensor_path, "--tuple", tuple_path, "--tol", tol])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "--tol" in captured.err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-3", "inf"])
+    def test_tol_range(self, plant_files, tol, capsys):
+        _, _, tensor_path, tuple_path = plant_files
+        code = cli.main(["verify", "--input", tensor_path, "--tuple", tuple_path, "--tol", tol])
+        report = parse_report(capsys.readouterr().out)
+        assert float(report["max_residual"]) <= 1e-10
+        # the planted axes are exact only to rounding, which tol 0 may fail
+        assert code == 0 or (tol == "0" and code == 3)
+
     def test_non_finite_tuple_is_input_error(self, plant_files, tmp_path, capsys):
         _, _, tensor_path, _ = plant_files
         bad = tmp_path / "bad_axes.txt"
@@ -295,6 +314,14 @@ class TestBench:
         err = capsys.readouterr().err
         assert "usage:" in err and "--sizes" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unallocatable_size_is_input_error(self, tmp_path, capsys):
+        # NumPy refuses a 100000^3 tensor before allocating anything
+        out = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--sizes", "100000", "--runs", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
 
     def test_parallel_flag_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

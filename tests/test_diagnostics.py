@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from rank1tensor.diagnostics import (
 )
 from rank1tensor.solvers import SolverConfig, solve
 
-from conftest import FIXTURE_2X2X2, planted_rank1, random_tensor, random_tuple
+from conftest import (
+    FIXTURE_2X2X2,
+    planted_rank1,
+    random_tensor,
+    random_tuple,
+    tuple_matches,
+)
 
 
 def two_term_diagonal():
@@ -111,6 +119,16 @@ class TestSemiMax:
             tol = 1e-6
             if check_semi_max(t, result.axes, level=2, tol=tol).passed:
                 assert check_semi_max(t, result.axes, level=1, tol=tol).passed
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_bad_tol_rejected(self, tol):
+        t, axes = planted_rank1((2, 3, 2), 1.0, 12)
+        with pytest.raises(InvalidInputError, match="tol"):
+            check_semi_max(t, axes, tol=tol)
+
+    def test_infinite_tol_passes_every_check(self):
+        t = random_tensor((2, 3, 2), 13)
+        assert check_semi_max(t, random_tuple(t.dims, 14), tol=math.inf).passed
 
     def test_level_two_needs_three_modes(self):
         t = random_tensor((2, 2, 2, 2), 5)
@@ -273,7 +291,7 @@ class TestJacobianAtOrigin:
             assert jacobian_check_origin(t, 1e-3) <= 1e-5 * t.norm()
 
     def test_zero_tensor_exact(self):
-        assert jacobian_check_origin(Tensor.zeros((2, 2, 2)), 1e-3) == 0.0
+        assert jacobian_check_origin(Tensor(np.zeros((2, 2, 2))), 1e-3) == 0.0
 
     def test_deviation_does_not_grow_when_halving(self):
         # the map is block-multilinear, so coordinate differences are exact
@@ -282,3 +300,81 @@ class TestJacobianAtOrigin:
         dev = jacobian_check_origin(t, 1e-3)
         dev_half = jacobian_check_origin(t, 5e-4)
         assert dev_half <= max(dev / 3.0, 1e-14)
+
+
+class TestScaleSweep:
+    """Every diagnostics entry point at scales 10^k, k from -320 to 308.
+
+    Each base tensor has unit norm, so c = 10^k is the norm of c T and every
+    exact answer is a float. Each call must return finite numbers or raise
+    a documented error. Where c T is c times T to rounding (its entries are
+    normal floats), homogeneity fixes the answer: multipliers, residuals and
+    margins scale by c, and the fixed-point round trip returns lambda.
+    NumPy warnings are errors here, as everywhere in the suite.
+    """
+
+    EXPONENTS = [-320, -310, -300, -200, -160, 0, 160, 200, 300, 307, 308]
+    SHAPES = [(3, 4, 5), (3, 2, 4, 3), (1, 3, 4)]
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    @pytest.mark.parametrize("dims", SHAPES, ids=lambda d: "x".join(map(str, d)))
+    def test_finite_or_documented_error(self, dims, k):
+        arr = np.random.default_rng(1).standard_normal(dims)
+        t1 = Tensor(arr / np.linalg.norm(arr))
+        cfg = SolverConfig(method="asvd", fitchange_tol=1e-12, max_iterations=2000)
+        u = solve(t1, cfg).axes
+        c = 10.0**k
+        t = Tensor(c * t1.array)
+        tiny = np.finfo(np.float64).tiny
+        exact = c * np.min(np.abs(t1.array)) >= tiny
+        close = lambda got, want: np.testing.assert_allclose(
+            got, c * np.asarray(want), rtol=0, atol=1e-12 * c
+        )
+
+        crit, crit1 = criticality(t, u), criticality(t1, u)
+        assert np.isfinite(crit.lambda_per_mode + crit.residual_per_mode).all()
+        if exact:
+            np.testing.assert_allclose(
+                crit.lambda_per_mode, c * np.array(crit1.lambda_per_mode), rtol=1e-12
+            )
+            close(crit.residual_per_mode, crit1.residual_per_mode)
+
+        for level in (1, 2):
+            if level == 2 and t.ndim != 3:
+                with pytest.raises(UnsupportedError):
+                    check_semi_max(t, u, level=level)
+                continue
+            margins = [ch.margin for ch in check_semi_max(t, u, level=level).checks]
+            assert np.isfinite(margins).all()
+            if exact:
+                close(margins, [ch.margin for ch in check_semi_max(t1, u, level=level).checks])
+
+        fv = apply_F(t, u.vectors)
+        assert all(np.isfinite(v).all() for v in fv)
+        if exact:
+            for v, v1 in zip(fv, apply_F(t1, u.vectors)):
+                close(v, v1)
+        assert np.isfinite(fixed_point_residual(t, u.vectors))
+        assert jacobian_check_origin(t) <= 1e-5 * t.norm()
+
+        lam = crit.lambda_per_mode[0]
+        try:
+            point = fixed_point_from_tuple(u, lam)
+        except InvalidInputError:
+            # only a multiplier below the normal range may have no fixed point
+            assert lam < tiny
+            return
+        assert all(np.isfinite(p).all() for p in point)
+        residual = fixed_point_residual(t, point)
+        assert np.isfinite(residual)
+        try:
+            back, lam_back = tuple_from_fixed_point(point)
+        except InvalidInputError:
+            assert lam < tiny
+            return
+        assert np.isfinite(lam_back)
+        if lam >= tiny:
+            assert lam_back == pytest.approx(lam, rel=1e-12)
+            assert tuple_matches(back, u, 1e-12)
+            size = lam ** (-1.0 / (t.ndim - 2)) * math.sqrt(t.ndim)  # |point|
+            assert residual <= 1e-8 * size

@@ -33,8 +33,8 @@ ratio near 1 means BLAS ran on one thread.
 
 Per side it also times the update-step layer, under the same thread count,
 with the package of that side's tree: the best-of-N microseconds of one
-asvd sweep, one masvd sweep, where the side has it one step of the
-solver's Newton finish, and a 10-sweep masvd solve from a fixed random
+asvd sweep, one masvd sweep, one step of the solver's Newton finish,
+and a 10-sweep masvd solve from a fixed random
 start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
 starts with nothing to carry over; the solve shows what a masvd sweep
 reuses from the one before it. The same rows time the kernel layer:
@@ -326,27 +326,23 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     """Rows of best-of-N µs per call of the update steps of the importable
     ``rank1tensor``, at the tuple of an asvd solve to a fit change of 1e-6
     of a Gaussian tensor of each shape in STEP_DIMS: ``asvd_sweep``,
-    ``masvd_sweep`` and ``newton_step``, the last only where ``solvers``
-    has ``_newton_step``."""
+    ``masvd_sweep`` and ``newton_step``."""
     import numpy as np
     from rank1tensor import SolverConfig, Tensor, kernels, solve, solvers
 
-    # the finish's contraction pass, which moved from solvers to kernels
-    contract = getattr(kernels, "all_contractions", None) or getattr(solvers, "_contractions", None)
     rows = []
     for dims in STEP_DIMS:
         t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
         cfg = SolverConfig(method="asvd", seed=0, fitchange_tol=1e-6, max_iterations=2000)
         u = solve(t, cfg).axes
+        vecs = list(u.vectors)
+        contractions = kernels.all_contractions(t.array, vecs)
+        f, _ = solvers._f_and_stationarity(vecs, contractions)
         calls = {
             "asvd_sweep": lambda: solvers.asvd_sweep(t, u),
             "masvd_sweep": lambda: solvers.masvd_sweep(t, u),
+            "newton_step": lambda: solvers._newton_step(t.array, vecs, contractions, f),
         }
-        if hasattr(solvers, "_newton_step"):
-            vecs = list(u.vectors)
-            contractions = contract(t.array, vecs)
-            f, _ = solvers._f_and_stationarity(vecs, contractions)
-            calls["newton_step"] = lambda: solvers._newton_step(t.array, vecs, contractions, f)
         rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
     return rows
 
@@ -406,14 +402,13 @@ def tight_counts(solves=TIGHT_SOLVES):
     ``solves`` solves to a fit change of 1e-12 of Gaussian tensors: the
     median and mean of the sweeps, of the optimization calls, of the pair
     steps (calls of ``linalg.top_singular_triple``), of the calls of
-    ``solvers._newton_finish`` (0 where the side has none), of those calls
-    that were rejected (returned None) and of the accepted Newton steps
-    (sub-steps over every mode), the count of ``stationary`` stops and each
-    lambda."""
+    ``solvers._newton_finish``, of those calls that were rejected (returned
+    None) and of the accepted Newton steps (sub-steps over every mode), the
+    count of ``stationary`` stops and each lambda."""
     import numpy as np
     from rank1tensor import SolverConfig, Tensor, linalg, solve, solvers
 
-    finish = getattr(solvers, "_newton_finish", None)
+    finish = solvers._newton_finish
     triple = linalg.top_singular_triple
     attempts = {"all": 0, "rejected": 0, "pairs": 0}
 
@@ -428,8 +423,7 @@ def tight_counts(solves=TIGHT_SOLVES):
         return triple(*args, **kwargs)
 
     rows = []
-    if finish is not None:
-        solvers._newton_finish = counted
+    solvers._newton_finish = counted
     linalg.top_singular_triple = counted_triple
     try:
         for dims, method in TIGHT_CELLS:
@@ -461,8 +455,7 @@ def tight_counts(solves=TIGHT_SOLVES):
             row["lambdas"] = lambdas
             rows.append(row)
     finally:
-        if finish is not None:
-            solvers._newton_finish = finish
+        solvers._newton_finish = finish
         linalg.top_singular_triple = triple
     return rows
 
