@@ -109,6 +109,16 @@ def split_scale(arr):
     return arr, scale, float(np.dot(flat, flat))
 
 
+def finite_norm(scale, nrm2):
+    """|T| = scale * sqrt(nrm2) from :func:`split_scale`'s factors; raises
+    :class:`InvalidInputError` when it exceeds the float64 range, where no
+    margin relative to |T| means anything."""
+    nrm = scale * math.sqrt(nrm2)
+    if not math.isfinite(nrm):
+        raise InvalidInputError("the tensor's norm exceeds the float64 range")
+    return nrm
+
+
 class UnitTuple:
     """A point on the product of unit spheres: one unit vector per mode."""
 

@@ -14,7 +14,9 @@ the origin.
 
 ``criticality`` and ``check_semi_max`` work on T / max|T| when the sum of
 squares of T overflows or underflows (``core.split_scale``) and report
-multipliers, residuals and margins in the units of T.
+multipliers, residuals and margins in the units of T. Both raise
+:class:`InvalidInputError`, as ``solve`` does, when |T| itself exceeds the
+float64 range.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .core import (
-    UnitTuple, _check_tuple_dims, f_from_arrays, mode_residual, split_scale
+    UnitTuple, _check_tuple_dims, f_from_arrays, finite_norm, mode_residual, split_scale
 )
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
@@ -69,7 +71,8 @@ def criticality(t, u):
     residual |v_i - lambda_i x_i|. At an exact critical point all residuals
     vanish and the multipliers coincide."""
     _check_tuple_dims(t, u)
-    arr, scale, _ = split_scale(t.array)
+    arr, scale, nrm2 = split_scale(t.array)
+    finite_norm(scale, nrm2)
     lambdas = []
     residuals = []
     for x, v in zip(u.vectors, kernels.all_contractions(arr, u.vectors)):
@@ -103,7 +106,7 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
         raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
     arr, scale, nrm2 = split_scale(t.array)
-    slack = tol * (scale * math.sqrt(nrm2))  # tol * t.norm()
+    slack = tol * finite_norm(scale, nrm2)  # tol * t.norm()
     checks = []
     if level == 1:
         contractions = kernels.all_contractions(arr, u.vectors)

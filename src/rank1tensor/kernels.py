@@ -32,9 +32,17 @@ reduction route" section has the measurements.
 
 Tensor passes. One all-but-one contraction reads the whole tensor once, so
 a loop over d modes reads it d times. ``contract_each`` reads it at most
-twice, whatever d: an als sweep takes 2 passes instead of d, and a mals
-sweep, whose rounds re-evaluate d, d-1, ..., 1 candidates, takes d + 1
-instead of d(d+1)/2 (4 instead of 6 at d = 3, 5 instead of 10 at d = 4).
+twice, whatever d, so an als sweep takes 2 passes instead of d.
+``contract_partial`` contracts modes out of an intermediate that a caller
+keeps, a tensor over fewer modes that is already contracted over the rest,
+so a step that starts from one reads no whole tensor. A mals sweep keeps the
+tensor contracted over the modes it has applied: its first round reads the
+tensor twice and its second once, and every later round extends the kept
+intermediate by the mode just applied, so the sweep takes 3 passes at any
+d instead of d(d+1)/2 (6 at d = 3, 10 at d = 4). A pair step of asvd at
+d >= 4 that contracts first a mode the next step also contracts keeps that
+one-mode contraction for the next step: 3 passes per d = 4 sweep instead
+of 6.
 """
 
 import numpy as np
@@ -100,21 +108,41 @@ def contract_all_but_two(arr, vectors, keep_i, keep_j):
     return out.reshape(arr.shape[keep_i], arr.shape[keep_j])
 
 
-def contract_each(arr, vectors, modes, visit):
+def contract_each(arr, vectors, modes, visit, out=None):
     """Call ``visit(i, v)`` for each mode i of the ascending ``modes``, in
     order, with v the contraction of ``arr`` against every vector but the
     i-th, formed from ``vectors`` as they stand when v is formed.
 
-    The modes outside ``modes`` are contracted first. The kept modes are
-    then split in half: the second half's block is contracted away to serve
-    the first half, and, after the first half has been visited, the first
-    half's block to serve the second; each half recurses. So a visitor that
-    replaces ``vectors[i]`` makes an exact cyclic (Gauss-Seidel) sweep, and
-    one that only records gets every contraction at one tuple.
+    The modes outside ``modes`` are contracted first, unless ``out`` gives
+    that result: ``arr`` contracted over every mode outside ``modes``, laid
+    out over ``modes`` in order, as :func:`contract_partial` returns it. The
+    kept modes are then split in half: the second half's block is
+    contracted away to serve the first half, and, after the first half has
+    been visited, the first half's block to serve the second; each half
+    recurses. So a visitor that replaces ``vectors[i]`` makes an exact
+    cyclic (Gauss-Seidel) sweep, and one that only records gets every
+    contraction at one tuple.
     """
     modes = tuple(modes)
     if modes:
-        _descend(arr, _contract_outside(arr, vectors, modes), vectors, modes, visit)
+        if out is None:
+            out = _contract_outside(arr, vectors, modes)
+        _descend(arr, out, vectors, modes, visit)
+
+
+def contract_partial(out, shape, vectors, over, keep):
+    """Contract ``out``, a tensor over the ascending modes ``over`` of
+    ``shape`` (laid out over them in order, in any array shape), against
+    ``vectors`` over every mode of ``over`` outside ``keep``, from the
+    highest mode down; returns the result, laid out over the modes of
+    ``keep`` in order, or ``out`` itself when no mode is contracted."""
+    after = 1
+    for mode in reversed(over):
+        if mode in keep:
+            after *= shape[mode]
+        else:
+            out = _reduce(out, vectors[mode], shape[mode], after)
+    return out
 
 
 def all_contractions(arr, vectors):

@@ -14,7 +14,11 @@ eigenvector:
   |G x - theta x| <= 1e-12 theta with theta = x^T G x, and x^T P x > 1/2
   (by a margin of 1e-8 that covers rounding in the computed P). P is
   positive semidefinite with unit trace, so at most one eigendirection can
-  carry weight above 1/2, and it is then G's strictly dominant one.
+  carry weight above 1/2, and it is then G's strictly dominant one. From
+  side CARRY_MIN_SIDE = 64 the route squares only to P^4 and carries P^4's
+  column to P^64's by 15 matrix-vector products, 3 matrix products (the
+  Gram matrix and 2 squarings) instead of 7; the same residual and
+  x^T P^4 x > 1/2 certify it, and when they fail the squaring goes on.
 
 The squaring route runs when the smaller side is at least
 SQUARING_MIN_SIDE, where it is faster; when its certificate fails (an
@@ -30,11 +34,16 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 
-#: smallest Gram side at which the squaring route beats a dense eigh
-SQUARING_MIN_SIDE = 20
+#: smallest Gram side at which the squaring route beats a dense eigh, on
+#: the pair matrices of asvd solves with one BLAS thread (see the README)
+SQUARING_MIN_SIDE = 14
 #: squarings before the certificate is first checked, and at most
 FIRST_CHECK_SQUARINGS = 6
 MAX_SQUARINGS = 12
+#: from this Gram side, the candidate of P^(2^FIRST_CHECK_SQUARINGS) is
+#: first carried from P^(2^CARRY_SQUARINGS) by matrix-vector products
+CARRY_MIN_SIDE = 64
+CARRY_SQUARINGS = 2
 #: eigen-residual the squaring route must certify, relative to theta
 CERTIFY_RESIDUAL = 1e-12
 #: x^T P x must exceed 1/2 by this; rounding lifts a tied top's weight by
@@ -89,32 +98,54 @@ def _sign_fix(u, v):
     return u, v
 
 
+def _certify(g, p, x):
+    # the certificate for the unit candidate x, with P of unit trace:
+    # sqrt(r.r) is what np.linalg.norm(r) computes, without its wrapper
+    gx = g @ x
+    theta = float(x @ gx)
+    r = gx - theta * x
+    return (
+        math.sqrt(np.dot(r, r)) <= CERTIFY_RESIDUAL * theta
+        and float(x @ (p @ x)) > 0.5 + DOMINANCE_MARGIN
+    )
+
+
+def _carried_candidate(p4):
+    # The candidate of P^64 from P^4 of unit trace: the column j of P^4 with
+    # the largest diagonal entry, times P^4 15 more times, is P^64's column
+    # j. Its norm is at least the weighted power mean (P^4_jj)^16 >= k^-16
+    # for side k, so no product underflows.
+    y = p4[:, int(p4.diagonal().argmax())]
+    for _ in range(2 ** (FIRST_CHECK_SQUARINGS - CARRY_SQUARINGS) - 1):
+        y = p4 @ y
+    return y / math.sqrt(np.dot(y, y))
+
+
 def _certified_top_eigvec(g, trace):
     # Repeated squaring of P = G / tr G, given tr G as ``trace``; returns
     # (x, squarings) once the certificate holds, None when it fails within
     # MAX_SQUARINGS. A unit trace keeps every entry of P in [-1, 1], and
     # three squarings shrink the trace to no less than k^-7 for side k, so
     # renormalizing every third squaring before the first check cannot
-    # underflow.
+    # underflow. From side CARRY_MIN_SIDE, the candidate of P^64 is first
+    # carried from P^4 by matrix-vector products and checked against P^4;
+    # when that fails, the squaring goes on as below.
     p = g / trace
     for s in range(1, MAX_SQUARINGS + 1):
         p = p @ p
+        if s == CARRY_SQUARINGS and len(g) >= CARRY_MIN_SIDE:
+            p4 = p / p.trace()
+            x = _carried_candidate(p4)
+            if _certify(g, p4, x):
+                return x, s
         if s < FIRST_CHECK_SQUARINGS:
             if s % 3 == 0:
                 p /= p.trace()
             continue
         p /= p.trace()
-        # sqrt(r.r) is what np.linalg.norm(r) computes, without its wrapper
         col = p[:, int(p.diagonal().argmax())]
         x = col / math.sqrt(np.dot(col, col))
-        gx = g @ x
-        theta = float(x @ gx)
-        r = gx - theta * x
-        certified = (
-            math.sqrt(np.dot(r, r)) <= CERTIFY_RESIDUAL * theta
-            and float(x @ (p @ x)) > 0.5 + DOMINANCE_MARGIN
-        )
-        if certified:
+        if _certify(g, p, x):
             return x, s
     return None
 

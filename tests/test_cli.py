@@ -169,6 +169,16 @@ class TestVerify:
         assert captured.out == ""
         assert "usage:" in captured.err and "--tol" in captured.err
 
+    def test_norm_beyond_float_range_exits_one(self, tmp_path, capsys):
+        arr = np.random.default_rng(15).standard_normal((3, 4, 5))
+        tensor_path, tuple_path = tmp_path / "huge.txt", tmp_path / "ones.txt"
+        io.write_tensor_text(Tensor(arr * (1e308 / np.max(np.abs(arr)))), tensor_path)
+        io.write_tuple_text(UnitTuple([np.ones(m) for m in (3, 4, 5)], normalize=True), tuple_path)
+        args = ["verify", "--input", str(tensor_path), "--tuple", str(tuple_path), "--level", "2"]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "norm" in captured.err
+
     @pytest.mark.parametrize("tol", ["0", "1e-3", "inf"])
     def test_tol_range(self, plant_files, tol, capsys):
         _, _, tensor_path, tuple_path = plant_files

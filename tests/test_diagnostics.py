@@ -126,6 +126,22 @@ class TestSemiMax:
         with pytest.raises(InvalidInputError, match="tol"):
             check_semi_max(t, axes, tol=tol)
 
+    def test_norm_beyond_float_range_is_input_error(self):
+        # entries up to 1e308 are finite, but |T| is not a float: a margin
+        # relative to it would pass any tuple, so both checks refuse the
+        # tensor as solve does; the unscaled tensor fails the same tuple
+        arr = random_tensor((3, 4, 5), 15).array
+        t = Tensor(arr * (1e308 / np.max(np.abs(arr))))
+        ones = UnitTuple([np.ones(m) for m in t.dims], normalize=True)
+        assert not check_semi_max(Tensor(arr), ones, level=2).passed
+        with pytest.raises(InvalidInputError, match="norm"):
+            criticality(t, ones)
+        for level in (1, 2):
+            with pytest.raises(InvalidInputError, match="norm"):
+                check_semi_max(t, ones, level=level)
+        with pytest.raises(InvalidInputError, match="norm"):
+            solve(t, SolverConfig())
+
     def test_infinite_tol_passes_every_check(self):
         t = random_tensor((2, 3, 2), 13)
         assert check_semi_max(t, random_tuple(t.dims, 14), tol=math.inf).passed

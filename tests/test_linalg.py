@@ -5,6 +5,8 @@ import pytest
 
 from rank1tensor import DegenerateInputError, InvalidInputError, linalg
 from rank1tensor.linalg import (
+    CARRY_MIN_SIDE,
+    CARRY_SQUARINGS,
     FIRST_CHECK_SQUARINGS,
     SQUARING_MIN_SIDE,
     _certified_top_eigvec,
@@ -155,7 +157,7 @@ class TestTopSingularTripleIterative:
         return min(np.linalg.norm(x - y), np.linalg.norm(x + y))
 
     @pytest.mark.parametrize(
-        "shape", [(24, 24), (32, 32), (64, 64), (40, 24), (24, 40)]
+        "shape", [(24, 24), (32, 32), (64, 64), (40, 24), (24, 40), (96, 80), (128, 128)]
     )
     def test_agrees_with_numpy_svd(self, shape):
         for seed in range(5):
@@ -180,6 +182,53 @@ class TestTopSingularTripleIterative:
         assert self.sign_free_distance(trip.v, q / 5.0) <= 1e-12
 
     @staticmethod
+    def dominant(shape, seed):
+        # a planted rank-one part of norm 3 sqrt(side) over Gaussian noise,
+        # the shape of a pair matrix near a solve's end
+        rng = np.random.default_rng(seed)
+        p, q = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+        scale = 3.0 * math.sqrt(min(shape)) / (np.linalg.norm(p) * np.linalg.norm(q))
+        return scale * np.outer(p, q) + rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (96, 80), (80, 96), (128, 128)])
+    def test_carried_candidate_certifies_a_dominant_top(self, shape):
+        for seed in range(3):
+            a = self.dominant(shape, [44, seed])
+            trip = top_singular_triple(a)
+            assert trip.squarings == CARRY_SQUARINGS  # the carried candidate answered
+            u_ref, s_ref, vt_ref = np.linalg.svd(a)
+            assert trip.sigma == pytest.approx(s_ref[0], rel=1e-13)
+            assert self.sign_free_distance(trip.u, u_ref[:, 0]) <= 1e-10
+            assert self.sign_free_distance(trip.v, vt_ref[0]) <= 1e-10
+
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_carried_candidate_certifies_rank_one(self, side):
+        rng = np.random.default_rng(45)
+        p = rng.standard_normal(side)
+        p *= 2.0 / np.linalg.norm(p)
+        q = rng.standard_normal(side + 16)
+        q *= 5.0 / np.linalg.norm(q)
+        trip = top_singular_triple(np.outer(p, q))
+        assert trip.squarings == CARRY_SQUARINGS
+        assert trip.sigma == pytest.approx(10.0, rel=1e-13)
+        assert self.sign_free_distance(trip.u, p / 2.0) <= 1e-12
+        assert self.sign_free_distance(trip.v, q / 5.0) <= 1e-12
+
+    def test_carry_starts_at_its_side(self, monkeypatch):
+        # one below CARRY_MIN_SIDE the route squares as it did before the
+        # carry existed, bit for bit; at it, the carried candidate answers
+        below = self.dominant((CARRY_MIN_SIDE - 1, CARRY_MIN_SIDE + 3), 46)
+        at = self.dominant((CARRY_MIN_SIDE, CARRY_MIN_SIDE + 3), 46)
+        auto_below, auto_at = top_singular_triple(below), top_singular_triple(at)
+        monkeypatch.setattr(linalg, "CARRY_MIN_SIDE", math.inf)
+        plain = top_singular_triple(below)
+        assert auto_below.squarings == plain.squarings == FIRST_CHECK_SQUARINGS
+        assert auto_below.sigma == plain.sigma
+        assert np.array_equal(auto_below.u, plain.u) and np.array_equal(auto_below.v, plain.v)
+        assert auto_at.squarings == CARRY_SQUARINGS
+        assert top_singular_triple(at).squarings == FIRST_CHECK_SQUARINGS
+
+    @staticmethod
     def plus_minus_sigma(n, seed):
         # symmetric, eigenvalues 5 and -5 on top: the Gram top is tied
         rng = np.random.default_rng(seed)
@@ -187,10 +236,10 @@ class TestTopSingularTripleIterative:
         eigenvalues = np.concatenate([[5.0, -5.0], rng.uniform(-4.0, 4.0, n - 2)])
         return (q * eigenvalues) @ q.T
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("case", ["diagonal", "plus_minus_sigma"])
-    def test_degenerate_top_falls_back_to_dense(self, case):
-        n = 32
-        for seed in range(10):
+    def test_degenerate_top_falls_back_to_dense(self, case, n):
+        for seed in range(10 if n == 32 else 2):
             if case == "diagonal":
                 a = np.diag([3.0, 3.0] + [1.0] * (n - 2))
                 sigma = 3.0

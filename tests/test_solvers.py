@@ -740,19 +740,138 @@ class TestOptimizationCallCounts:
         assert mals.optimization_calls == 2 * als.optimization_calls
 
 
+def tensordot_contract(arr, vecs, keep):
+    """``arr`` contracted against every vector but those of the modes in
+    ``keep``, from the whole tensor, with ``np.tensordot``."""
+    out = arr
+    for mode in range(arr.ndim - 1, -1, -1):
+        if mode not in keep:
+            out = np.tensordot(out, vecs[mode], axes=([mode], [0]))
+    return out
+
+
+def tensordot_solve(t, method, u, cfg):
+    """The asvd or mals solve of ``cfg`` from ``u``, with every contraction
+    formed from the whole tensor by :func:`tensordot_contract`: (lambda,
+    axes, iterations, opt_calls, converged_by, steps, f sequence). ``cfg``
+    is not tight, so no Newton finish runs."""
+    arr, d, nrm = t.array, t.ndim, t.norm()
+    vecs = [v.copy() for v in u.vectors]
+    fs, steps, calls = [f_value(t, u)], [], 0
+    fit_prev, converged_by, iterations = fs[0] / nrm, "max_iterations", 0
+    while iterations < cfg.max_iterations:
+        iterations += 1
+        if method == "asvd":
+            for i, j in default_pair_schedule(d):
+                triple = top_singular_triple(tensordot_contract(arr, vecs, (i, j)))
+                calls += 1
+                vecs[i], vecs[j] = triple.u, triple.v
+                fs.append(triple.sigma)
+                steps.append(((i, j), None, ()))
+        else:
+            remaining, changed, cache = list(range(d)), True, {}
+            while remaining:
+                if changed:
+                    for i in remaining:
+                        v = tensordot_contract(arr, vecs, (i,))
+                        cache[i] = (math.sqrt(np.dot(v, v)), v / math.sqrt(np.dot(v, v)))
+                    calls += len(remaining)
+                best = max(remaining, key=lambda i: (cache[i][0], -i))
+                changed = (vecs[best] != cache[best][1]).any()
+                vecs[best] = cache[best][1]
+                fs.append(cache[best][0])
+                steps.append(((best,), best, tuple(remaining)))
+                remaining.remove(best)
+        fit = fs[-1] / nrm
+        if abs(fit - fit_prev) < cfg.fitchange_tol:
+            converged_by = "fitchange"
+            break
+        fit_prev = fit
+    axes = UnitTuple(vecs)
+    return abs(f_value(t, axes)), axes, iterations, calls, converged_by, steps, fs
+
+
+def whole_tensor_reads(monkeypatch, arr, method, vecs, sweeps):
+    """The reductions that read all of ``arr``, per sweep of ``sweeps``
+    sweeps of ``method`` from ``vecs`` that share one solve cache."""
+    reduce, reads = kernels._reduce, [0]
+
+    def spy(out, *args):
+        reads[0] += out is arr
+        return reduce(out, *args)
+
+    monkeypatch.setattr(kernels, "_reduce", spy)
+    trace, cache, per_sweep = solvers.SolverTrace(), {}, []
+    for _ in range(sweeps):
+        reads[0] = 0
+        solvers._SWEEPS[method](arr, vecs, trace, cache)
+        per_sweep.append(reads[0])
+    return per_sweep
+
+
+class TestContractionReuse:
+    """mals keeps the tensor contracted over the modes a sweep has applied,
+    and an asvd pair step at d >= 4 starts from the one-mode contraction the
+    step before it kept; every other sweep reads the tensor as it did."""
+
+    @pytest.mark.parametrize(
+        "method, dims, expected",
+        [
+            ("mals", (5, 4, 6), [3, 3, 3]),
+            ("mals", (3, 4, 2, 5), [3, 3, 3]),
+            ("mals", (2, 3, 4, 3, 2), [3, 3, 3]),
+            ("asvd", (3, 4, 2, 5), [4, 3, 3]),
+            ("asvd", (2, 3, 4, 3, 2), [5, 5, 5]),
+            ("als", (5, 4, 6), [2, 2, 2]),
+            ("als", (3, 4, 2, 5), [2, 2, 2]),
+            ("asvd", (5, 4, 6), [3, 3, 3]),
+            ("masvd", (5, 4, 6), [6, 5, 5]),
+        ],
+    )
+    def test_whole_tensor_reads_per_sweep(self, monkeypatch, method, dims, expected):
+        t = random_tensor(dims, 140)
+        vecs = list(random_tuple(dims, 141).vectors)
+        assert whole_tensor_reads(monkeypatch, t.array, method, vecs, 3) == expected
+
+    @pytest.mark.parametrize("method", ["asvd", "mals"])
+    @pytest.mark.parametrize("dims", [(5, 4, 6, 3), (3, 4, 3, 5, 4)])
+    @pytest.mark.parametrize("tol, sweeps", [(1e-4, 10), (1e-300, 8)])
+    def test_solve_matches_tensordot_loop(self, method, dims, tol, sweeps):
+        for seed in range(3):
+            g = np.random.default_rng([142, seed, *dims]).standard_normal(dims)
+            t = Tensor(g / np.linalg.norm(g))  # |T| = 1
+            u = random_tuple(dims, 143 + seed)
+            cfg = SolverConfig(method=method, max_iterations=sweeps, fitchange_tol=tol)
+            result = solve(t, cfg, initial=u)
+            lam, axes, iterations, calls, converged_by, steps, fs = tensordot_solve(t, method, u, cfg)
+            assert result.iterations == iterations
+            assert result.optimization_calls == calls
+            assert result.converged_by == converged_by
+            assert result.trace.steps == steps
+            assert abs(result.lambda_ - lam) <= 1e-13
+            assert tuple_matches(result.axes, axes, 1e-13)
+            assert np.max(np.abs(np.array(list(result.trace.f_sequence())) - fs)) <= 1e-13
+
+
 def reference_records(t, method, u, sweeps):
     """(index, f_before, f_after, opt_calls, substeps) per sweep of
     ``sweeps`` sweeps from ``u``, each sub-step kept as (modes, f_after,
     chosen, candidate items) when it is taken. The contractions, pair steps
-    and candidate caches are the solver's own, so values agree bit for bit."""
+    and candidate caches are the solver's own, so values agree bit for bit:
+    mals contracts each round's candidates from the tensor contracted over
+    the modes applied so far, and asvd takes the intermediate that
+    ``solvers._pair_plan`` has the step before keep, across sweeps too."""
     arr, d = t.array, t.ndim
     vecs = [v.copy() for v in u.vectors]
     f_before, calls, records = f_value(t, u), 0, []
+    partial = None  # the intermediate the last asvd step kept
 
-    def pair(i, j):
+    def pair(i, j, mat=None):
         nonlocal calls
         calls += 1
-        return top_singular_triple(kernels.contract_all_but_two(arr, vecs, i, j))
+        if mat is None:
+            mat = kernels.contract_all_but_two(arr, vecs, i, j)
+        return top_singular_triple(mat.reshape(t.dims[i], t.dims[j]))
 
     for index in range(1, sweeps + 1):
         steps = []
@@ -765,12 +884,20 @@ def reference_records(t, method, u, sweeps):
             kernels.contract_each(arr, vecs, range(d), update)
             calls += d
         elif method == "asvd":
-            for i, j in default_pair_schedule(d):
-                triple = pair(i, j)
+            for i, j, start, kept in solvers._pair_plan(d):
+                if start is not None and partial is not None:
+                    triple = pair(i, j, kernels.contract_partial(partial, t.dims, vecs, start, (i, j)))
+                    partial = None
+                elif kept is not None:
+                    partial = kernels.contract_partial(arr, t.dims, vecs, range(d), kept)
+                    triple = pair(i, j, kernels.contract_partial(partial, t.dims, vecs, kept, (i, j)))
+                else:
+                    triple, partial = pair(i, j), None
                 vecs[i], vecs[j] = triple.u, triple.v
                 steps.append(((i, j), triple.sigma, None, None))
         elif method == "mals":
             versions, cache, remaining = [0] * d, {}, list(range(d))
+            applied, over = arr, range(d)  # arr contracted over the applied modes
             while remaining:
                 stamps = {i: tuple(versions[j] for j in range(d) if j != i) for i in remaining}
                 stale = [i for i in remaining if i not in cache or cache[i][2] != stamps[i]]
@@ -778,7 +905,10 @@ def reference_records(t, method, u, sweeps):
                 def record(i, v):
                     cache[i] = (*_normalized(i, v), stamps[i])
 
-                kernels.contract_each(arr, vecs, stale, record)
+                if stale:
+                    applied = kernels.contract_partial(applied, t.dims, vecs, over, stale)
+                    over = stale
+                    kernels.contract_each(arr, vecs, stale, record, applied)
                 calls += len(stale)
                 best = max(remaining, key=lambda i: (cache[i][0], -i))
                 if (vecs[best] != cache[best][1]).any():
@@ -838,7 +968,8 @@ def first_step(trace):
 
 
 #: ``decompose --max-iters 3 --trace`` rows on TRACE_TENSOR_4X4X4, as the
-#: per-step trace objects wrote them
+#: per-step trace objects wrote them; the mals row 3,1 moved by 2e-15 when
+#: its sweep came to reuse partial contractions
 TRACE_CSV_ROWS = {
     "als": [
         "1,0,0,,3.0379878187594387,3",
@@ -870,7 +1001,7 @@ TRACE_CSV_ROWS = {
         "2,1,2,2,9.0040379487847595,12",
         "2,2,0,0,9.7839162474068306,12",
         "3,0,1,1,12.351059703852103,18",
-        "3,1,2,2,13.530859266036988,18",
+        "3,1,2,2,13.530859266036986,18",
         "3,2,0,0,14.401462055246258,18",
     ],
     "masvd": [
@@ -998,10 +1129,42 @@ def default_solves_digest():
     return digest.hexdigest()
 
 
-#: default_solves_digest() of the sweep loop before the Newton finish existed
-DEFAULT_SOLVES_DIGEST = "0c093579382713e037bb73e9edda182b4c4f5029f9834338e134e548a1f19cb0"
+#: default_solves_digest() of the sweep loop before the Newton finish
+#: existed, re-pinned when mals and d >= 4 asvd came to reuse partial
+#: contractions (same iterations, opt_calls, labels and steps; lambda within
+#: 4.2e-16 relative)
+DEFAULT_SOLVES_DIGEST = "e8365336ef3974d8aa5f8503c2cd0f62a730131882bb1d9ec51d62cd186b1f67"
 
 TIGHT = dict(fitchange_tol=1e-12, max_iterations=2000)
+
+
+def unchanged_routes_digest():
+    """SHA-256 of tight 8^3 asvd and masvd solves, tight 32^3 asvd solves
+    and the top singular triples of 24- to 48-sided matrices: every Gram side
+    lies below linalg.SQUARING_MIN_SIDE or from 20 up to below
+    linalg.CARRY_MIN_SIDE, where the pair step takes its route unchanged."""
+    digest = hashlib.sha256()
+    for dims, method, seeds in [
+        ((8, 8, 8), "asvd", 4), ((8, 8, 8), "masvd", 4), ((32, 32, 32), "asvd", 2)
+    ]:
+        for k in range(seeds):
+            t = Tensor(np.random.default_rng([81, k, *dims]).standard_normal(dims))
+            r = solve(t, SolverConfig(method=method, seed=k, **TIGHT))
+            digest.update(np.float64(r.lambda_).tobytes())
+            digest.update(f"{r.iterations} {r.optimization_calls} {r.converged_by}".encode())
+            digest.update(np.concatenate(r.axes.vectors).tobytes())
+            digest.update(np.array(list(r.trace.f_sequence())).tobytes())
+            digest.update(repr(r.trace.steps).encode() + r.trace.candidates.tobytes())
+    for shape in [(24, 24), (24, 40), (33, 32), (40, 48), (48, 48), (61, 48)]:
+        a = np.random.default_rng([82, *shape]).standard_normal(shape)
+        trip = top_singular_triple(a)
+        digest.update(np.array([trip.sigma, *trip.u, *trip.v, trip.squarings]).tobytes())
+    return digest.hexdigest()
+
+
+#: unchanged_routes_digest() before mals and asvd reused partial
+#: contractions and large pair steps carried their candidate from P^4
+UNCHANGED_ROUTES_DIGEST = "a6badc85802d7d3096293e90bc184c49aaa781eba2863f77029691e33ffe2f33"
 
 
 class TestNewtonFinish:
@@ -1309,6 +1472,9 @@ class TestNewtonFinish:
 
     def test_default_solves_bit_identical_to_sweep_loop(self):
         assert default_solves_digest() == DEFAULT_SOLVES_DIGEST
+
+    def test_unchanged_routes_bit_identical(self):
+        assert unchanged_routes_digest() == UNCHANGED_ROUTES_DIGEST
 
     def test_matrix_case_takes_exact_newton_steps(self):
         a = np.random.default_rng(100).standard_normal((6, 4))

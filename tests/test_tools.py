@@ -173,9 +173,45 @@ def test_update_steps_take_the_sweeps_and_the_masvd_solve(monkeypatch):
     monkeypatch.setattr(perf_ab, "step_timings", lambda: [{"step": "asvd_sweep"}])
     monkeypatch.setattr(perf_ab, "masvd_solve_timings", lambda: [{"step": "masvd_solve"}])
     monkeypatch.setattr(perf_ab, "kernel_timings", lambda: [{"step": "contract_all_but_one(0)"}])
+    monkeypatch.setattr(perf_ab, "large_step_timings", lambda: [{"step": "mals_sweep"}])
     assert perf_ab.update_step_rows() == [
-        {"step": "asvd_sweep"}, {"step": "masvd_solve"}, {"step": "contract_all_but_one(0)"}
+        {"step": "asvd_sweep"}, {"step": "masvd_solve"}, {"step": "contract_all_but_one(0)"},
+        {"step": "mals_sweep"},
     ]
+
+
+def test_large_step_timings_cover_the_sweeps_and_pair_steps():
+    rows = perf_ab.large_step_timings(repeats=1, seconds=0.0)
+    assert [(r["dims"], r["step"]) for r in rows] == [
+        ("128x128x128", "mals_sweep"),
+        ("32x32x32x32", "mals_sweep"),
+        ("32x32x32x32", "asvd_sweep"),
+        ("64x64", "top_singular_triple"),
+        ("128x128", "top_singular_triple"),
+    ]
+    assert all(r["us_per_call"] > 0.0 and r["cpu_over_wall"] > 0.0 for r in rows)
+
+
+def test_tensor_reads_count_whole_tensor_passes_per_sweep():
+    from rank1tensor import kernels
+
+    reduce = kernels._reduce
+    rows = perf_ab.tensor_reads()
+    got = {(r["dims"], r["method"]): r["reads_per_sweep"] for r in rows}
+    assert got == {
+        ("64x64x64", "als"): [2, 2, 2],
+        ("64x64x64", "asvd"): [3, 3, 3],
+        ("64x64x64", "mals"): [3, 3, 3],
+        ("64x64x64", "masvd"): [6, 5, 5],
+        ("32x32x32x32", "als"): [2, 2, 2],
+        ("32x32x32x32", "asvd"): [4, 3, 3],
+        ("32x32x32x32", "mals"): [3, 3, 3],
+        ("8x8x8x8x8", "als"): [2, 2, 2],
+        ("8x8x8x8x8", "asvd"): [5, 5, 5],
+        ("8x8x8x8x8", "mals"): [3, 3, 3],
+    }
+    # the spy is taken out again
+    assert kernels._reduce is reduce
 
 
 def test_kernel_timings_cover_the_shapes_and_modes():

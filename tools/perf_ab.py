@@ -39,7 +39,9 @@ start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
 starts with nothing to carry over; the solve shows what a masvd sweep
 reuses from the one before it. The same rows time the kernel layer:
 ``contract_all_but_one`` on the first and the last mode and
-``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4. Each row also
+``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4; and the large
+steps: a lone mals sweep at 128^3 and 32^4, a lone asvd sweep at 32^4 and
+``top_singular_triple`` of 64x64 and 128x128 pair matrices. Each row also
 gives the CPU time over wall time of its best batch.
 The sides take STEP_ROUNDS turns each, alternating which goes first, and
 each keeps its best.
@@ -52,7 +54,9 @@ finish, rejected finish calls and accepted Newton steps, and the solves
 that stopped on certified stationarity
 (``tight_solves`` in the output). These counts do not depend on timing, so
 they show the mechanism behind the noisy times; ``lambda_max_rel_diff``
-compares the two sides' lambda solve by solve.
+compares the two sides' lambda solve by solve. Next to them,
+``tensor_reads`` counts per method and shape the reductions that read the
+whole tensor in each of three sweeps.
 """
 
 import argparse
@@ -89,6 +93,22 @@ TIGHT_SOLVES = 24
 KERNEL_DIMS = ((64, 64, 64), (128, 128, 128), (32, 32, 32, 32))
 #: median item counts closer than this give no RSS slope
 SLOPE_MIN_ITEMS = 100
+#: (dims, step) of the large update-step rows: lone sweeps, and the pair
+#: step's top_singular_triple on the (1, 2) pair matrix
+LARGE_STEPS = (
+    ((128, 128, 128), "mals_sweep"),
+    ((32, 32, 32, 32), "mals_sweep"),
+    ((32, 32, 32, 32), "asvd_sweep"),
+    ((64, 64, 64), "top_singular_triple"),
+    ((128, 128, 128), "top_singular_triple"),
+)
+#: (dims, methods) at which whole-tensor reads are counted, and the sweeps
+READ_CELLS = (
+    ((64, 64, 64), ("als", "asvd", "mals", "masvd")),
+    ((32, 32, 32, 32), ("als", "asvd", "mals")),
+    ((8, 8, 8, 8, 8), ("als", "asvd", "mals")),
+)
+READ_SWEEPS = 3
 
 
 def parse_seeds(text):
@@ -391,10 +411,72 @@ def kernel_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     return rows
 
 
+def large_step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
+    """Rows of best-of-N µs per call, with CPU over wall time, of the steps
+    in LARGE_STEPS of the importable ``rank1tensor``, at the tuple of a
+    3-sweep asvd solve of a Gaussian tensor of each shape: a lone
+    ``mals_sweep`` or ``asvd_sweep`` from that tuple, and
+    ``linalg.top_singular_triple`` of the (1, 2) pair matrix there."""
+    import numpy as np
+    from rank1tensor import SolverConfig, Tensor, kernels, linalg, solve, solvers
+
+    rows = []
+    for dims, step in LARGE_STEPS:
+        t = Tensor(np.random.default_rng(list(dims)).standard_normal(dims))
+        cfg = SolverConfig(method="asvd", seed=0, max_iterations=3, fitchange_tol=1e-300)
+        u = solve(t, cfg).axes
+        if step == "top_singular_triple":
+            mat = kernels.contract_all_but_two(t.array, list(u.vectors), 1, 2)
+            call = lambda mat=mat: linalg.top_singular_triple(mat)
+            dims = mat.shape
+        else:
+            call = lambda sweep=getattr(solvers, step), t=t, u=u: sweep(t, u)
+        rows.append(_timed_row(dims, step, call, repeats, seconds))
+    return rows
+
+
 def update_step_rows():
-    """The rows of :func:`step_timings`, :func:`masvd_solve_timings` and
-    :func:`kernel_timings`."""
-    return step_timings() + masvd_solve_timings() + kernel_timings()
+    """The rows of :func:`step_timings`, :func:`masvd_solve_timings`,
+    :func:`kernel_timings` and :func:`large_step_timings`."""
+    return step_timings() + masvd_solve_timings() + kernel_timings() + large_step_timings()
+
+
+def tensor_reads(sweeps=READ_SWEEPS):
+    """Per method and shape of READ_CELLS, the reductions of the importable
+    ``rank1tensor`` that read the whole tensor, in each of ``sweeps`` sweeps
+    from a fixed random tuple of a Gaussian tensor. The sweeps share one
+    solve cache, as in a solve, so a sweep may start from what the one
+    before it kept. The counts do not depend on timing."""
+    import numpy as np
+    from rank1tensor import kernels, solvers
+
+    reduce = kernels._reduce
+    rows = []
+    try:
+        for dims, methods in READ_CELLS:
+            rng = np.random.default_rng(list(dims))
+            arr = rng.standard_normal(dims)
+            reads = [0]
+
+            def spy(out, *args):
+                reads[0] += out is arr
+                return reduce(out, *args)
+
+            kernels._reduce = spy
+            for method in methods:
+                vecs = [v / np.linalg.norm(v) for v in (rng.standard_normal(m) for m in dims)]
+                trace, cache, per_sweep = solvers.SolverTrace(), {}, []
+                for _ in range(sweeps):
+                    reads[0] = 0
+                    solvers._SWEEPS[method](arr, vecs, trace, cache)
+                    per_sweep.append(reads[0])
+                rows.append({
+                    "dims": "x".join(map(str, dims)), "method": method,
+                    "reads_per_sweep": per_sweep,
+                })
+    finally:
+        kernels._reduce = reduce
+    return rows
 
 
 def tight_counts(solves=TIGHT_SOLVES):
@@ -540,9 +622,12 @@ def main(argv=None):
                 f"{STEP_SECONDS} s, µs per call, of one asvd sweep, one masvd sweep and "
                 "one Newton finish step, at the tuple of an asvd solve to a fit change "
                 f"of 1e-6 of a Gaussian tensor, of a {SOLVE_SWEEPS}-sweep masvd solve "
-                "of that tensor from a fixed random start, and of the kernels "
+                "of that tensor from a fixed random start, of the kernels "
                 "contract_all_but_one (first and last mode) and contract_all_but_two(1, 2) "
-                "on Gaussian tensors; cpu_over_wall is that of the best batch"
+                "on Gaussian tensors, and of a lone mals or asvd sweep and "
+                "top_singular_triple of the (1, 2) pair matrix at the tuple of a 3-sweep "
+                "asvd solve of larger Gaussian tensors; cpu_over_wall is that of the "
+                "best batch"
             ),
         },
         "tight_solves": {
@@ -553,6 +638,13 @@ def main(argv=None):
                 "solvers._newton_finish, rejected calls and accepted Newton steps per "
                 "solve (median and mean), stationary "
                 "stops, and the largest relative lambda difference between the sides"
+            ),
+        },
+        "tensor_reads": {
+            "description": (
+                "reductions that read the whole tensor, per sweep of "
+                f"{READ_SWEEPS} sweeps that share one solve cache, from a fixed random "
+                "tuple of a Gaussian tensor"
             ),
         },
         "workloads": {},
@@ -579,6 +671,7 @@ def main(argv=None):
                         kept.update(row)
         for side in ("parent", "change"):
             result["tight_solves"][side] = in_child(trees[side], "tight_counts")
+            result["tensor_reads"][side] = in_child(trees[side], "tensor_reads")
         compare_lambdas(result["tight_solves"]["parent"], result["tight_solves"]["change"])
         save()
         pair = 0
