@@ -326,7 +326,7 @@ def _pair_triple(mat, i, j, trace):
         raise BreakdownError(f"pair ({i},{j}) contraction collapsed to zero") from exc
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _pair_plan(d):
     """Per step of ``default_pair_schedule(d)``: ``(i, j, start, kept)``.
 

@@ -169,14 +169,18 @@ class TestTopSingularTripleIterative:
             assert self.sign_free_distance(trip.u, u_ref[:, 0]) <= 1e-10
             assert self.sign_free_distance(trip.v, vt_ref[0]) <= 1e-10
 
-    def test_rank_one(self):
+    @pytest.mark.parametrize(
+        "side, squarings",
+        [(32, FIRST_CHECK_SQUARINGS), (64, CARRY_SQUARINGS), (128, CARRY_SQUARINGS)],
+    )
+    def test_rank_one(self, side, squarings):
         rng = np.random.default_rng(41)
-        p = rng.standard_normal(32)
+        p = rng.standard_normal(side)
         p *= 2.0 / np.linalg.norm(p)
-        q = rng.standard_normal(48)
+        q = rng.standard_normal(side + 16)
         q *= 5.0 / np.linalg.norm(q)
         trip = top_singular_triple(np.outer(p, q))
-        assert trip.squarings == FIRST_CHECK_SQUARINGS
+        assert trip.squarings == squarings
         assert trip.sigma == pytest.approx(10.0, rel=1e-13)
         assert self.sign_free_distance(trip.u, p / 2.0) <= 1e-12
         assert self.sign_free_distance(trip.v, q / 5.0) <= 1e-12
@@ -200,19 +204,6 @@ class TestTopSingularTripleIterative:
             assert trip.sigma == pytest.approx(s_ref[0], rel=1e-13)
             assert self.sign_free_distance(trip.u, u_ref[:, 0]) <= 1e-10
             assert self.sign_free_distance(trip.v, vt_ref[0]) <= 1e-10
-
-    @pytest.mark.parametrize("side", [64, 128])
-    def test_carried_candidate_certifies_rank_one(self, side):
-        rng = np.random.default_rng(45)
-        p = rng.standard_normal(side)
-        p *= 2.0 / np.linalg.norm(p)
-        q = rng.standard_normal(side + 16)
-        q *= 5.0 / np.linalg.norm(q)
-        trip = top_singular_triple(np.outer(p, q))
-        assert trip.squarings == CARRY_SQUARINGS
-        assert trip.sigma == pytest.approx(10.0, rel=1e-13)
-        assert self.sign_free_distance(trip.u, p / 2.0) <= 1e-12
-        assert self.sign_free_distance(trip.v, q / 5.0) <= 1e-12
 
     def test_carry_starts_at_its_side(self, monkeypatch):
         # one below CARRY_MIN_SIDE the route squares as it did before the

@@ -1132,7 +1132,7 @@ def default_solves_digest():
 #: default_solves_digest() of the sweep loop before the Newton finish
 #: existed, re-pinned when mals and d >= 4 asvd came to reuse partial
 #: contractions (same iterations, opt_calls, labels and steps; lambda within
-#: 4.2e-16 relative)
+#: 4.1e-16 relative)
 DEFAULT_SOLVES_DIGEST = "e8365336ef3974d8aa5f8503c2cd0f62a730131882bb1d9ec51d62cd186b1f67"
 
 TIGHT = dict(fitchange_tol=1e-12, max_iterations=2000)
