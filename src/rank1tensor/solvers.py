@@ -363,20 +363,24 @@ def _als_sweep(arr, vecs, trace, _cache):
 def _asvd_sweep(arr, vecs, trace, cache):
     # Each step takes the intermediate the step before it kept (see
     # _pair_plan), which the solve's ``cache`` holds across sweeps too, so a
-    # sweep's first step starts from the last one's; the first sweep's first
-    # step, and any step after a Newton finish attempt, starts from the
-    # whole tensor.
+    # sweep's first step starts from the last one's. A step with none to
+    # take, as the first sweep's first step or any step after a Newton
+    # finish attempt, contracts the whole tensor.
     shape = arr.shape
     f = None
     for i, j, start, kept in _pair_plan(arr.ndim):
         partial = cache.pop("partial", None)
-        if start is None or partial is None:
-            partial, start = arr, range(arr.ndim)
-            if kept is not None:
-                partial = cache["partial"] = kernels.contract_partial(arr, shape, vecs, start, kept)
-                start = kept
-        mat = kernels.contract_partial(partial, shape, vecs, start, (i, j))
-        triple = _pair_triple(mat.reshape(shape[i], shape[j]), i, j, trace)
+        if partial is None and kept is not None:
+            partial = cache["partial"] = kernels.contract_partial(
+                arr, shape, vecs, range(arr.ndim), kept
+            )
+            start = kept
+        if partial is None:
+            mat = kernels.contract_all_but_two(arr, vecs, i, j)
+        else:
+            mat = kernels.contract_partial(partial, shape, vecs, start, (i, j))
+            mat = mat.reshape(shape[i], shape[j])
+        triple = _pair_triple(mat, i, j, trace)
         vecs[i], vecs[j] = triple.u, triple.v
         f = triple.sigma
         trace._record(f, (i, j))
