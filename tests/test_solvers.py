@@ -774,7 +774,8 @@ def tensordot_solve(t, method, u, cfg):
                 if changed:
                     for i in remaining:
                         v = tensordot_contract(arr, vecs, (i,))
-                        cache[i] = (math.sqrt(np.dot(v, v)), v / math.sqrt(np.dot(v, v)))
+                        norm = math.sqrt(np.dot(v, v))
+                        cache[i] = (norm, v / norm)
                     calls += len(remaining)
                 best = max(remaining, key=lambda i: (cache[i][0], -i))
                 changed = (vecs[best] != cache[best][1]).any()
