@@ -13,6 +13,9 @@ inertia of H exactly: #{|lambda|<1} = #positive, #{|lambda|>1} = #negative,
 space of H), and the number of positive eigenvalues is at least the largest
 block size. Ostrowski's theorem appears as the special case: the iteration
 contracts from every start iff H is positive definite.
+
+H must be finite. ``hessian_form_at`` reads T through ``core.read_scaled``,
+as the solvers and diagnostics do.
 """
 
 import math
@@ -22,9 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .core import (
-    _check_tuple_dims, f_from_arrays, split_scale, tangent_basis, tangent_hessian
-)
+from .core import f_from_arrays, read_scaled, split_scale, tangent_basis, tangent_hessian
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -60,6 +61,8 @@ class BlockQuadraticForm:
             raise DimensionError(
                 f"block sizes {sizes} sum to {sum(sizes)}, H has order {h.shape[0]}"
             )
+        if not np.isfinite(h).all():
+            raise InvalidInputError("H must be finite (found NaN or Inf)")
         scale = float(np.max(np.abs(h))) if h.size else 0.0
         asym = float(np.max(np.abs(h - h.T)))
         if asym > SYMMETRY_TOL * scale:
@@ -302,11 +305,14 @@ def hessian_form_at(t, u):
     :func:`analyze` reports the same counts and spectrum. Near a strict
     local maximum the diagonal blocks are positive definite, :func:`analyze`
     applies, and its spectral radius is the local linear rate of als.
+    H is formed from a = T / scale (:func:`core.read_scaled`) and then
+    multiplied by scale, which is exact at scale 1.
     """
-    _check_tuple_dims(t, u)
+    a, scale, _ = read_scaled(t, u)
     if min(t.dims) < 2:
         raise InvalidInputError("tangent coordinates need every m_i >= 2")
     bases = [tangent_basis(x) for x in u.vectors]
-    f = f_from_arrays(t.array, u.vectors)
-    h = tangent_hessian(t.array, u.vectors, bases, f)
+    f = f_from_arrays(a, u.vectors)
+    h = tangent_hessian(a, u.vectors, bases, f)
+    h *= scale
     return BlockQuadraticForm(h, [m - 1 for m in t.dims])

@@ -103,12 +103,6 @@ def cmd_verify(args):
 
     tensor = io.read_tensor_text(args.input)
     axes, adjusted = io.read_tuple_text(args.tuple)
-    if axes.dims != tensor.dims:
-        print(
-            f"error: tuple dims {axes.dims} do not match tensor dims {tensor.dims}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
     if adjusted:
         print("warning: tuple vectors were not unit length; normalized", file=sys.stderr)
 

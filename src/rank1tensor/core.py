@@ -9,6 +9,8 @@ Conventions
   contraction ``kernels.contract_all_but_one(T, vectors, i)`` equals
   ``unfold(T, i)`` times the flattened outer product of the other vectors,
   taken in increasing mode order.
+* Every solve and check reads its tensor through :func:`read_scaled`, forms
+  its results from T / scale and scales them back.
 """
 
 import math
@@ -109,14 +111,16 @@ def split_scale(arr):
     return arr, scale, float(np.dot(flat, flat))
 
 
-def finite_norm(scale, nrm2):
-    """|T| = scale * sqrt(nrm2) from :func:`split_scale`'s factors; raises
-    :class:`InvalidInputError` when it exceeds the float64 range, where no
-    margin relative to |T| means anything."""
-    nrm = scale * math.sqrt(nrm2)
-    if not math.isfinite(nrm):
+def read_scaled(t, u=None):
+    """:func:`split_scale` of ``t``, after checking the dims of the tuple
+    ``u`` if one is given; raises :class:`InvalidInputError` when |T|
+    exceeds the float64 range, where nothing relative to |T| is a float."""
+    if u is not None:
+        _check_tuple_dims(t, u)
+    a, scale, nrm2 = split_scale(t.array)
+    if not math.isfinite(scale * math.sqrt(nrm2)):
         raise InvalidInputError("the tensor's norm exceeds the float64 range")
-    return nrm
+    return a, scale, nrm2
 
 
 class UnitTuple:
@@ -262,12 +266,10 @@ def residual_norm(t, u):
     """Distance from ``t`` to the best multiple of the tuple's outer product.
 
     Equals sqrt(|T|^2 - f_value(T, u)^2) by the Pythagoras split of ``t``
-    into its projection onto the rank-one line and the complement. A tensor
-    whose sum of squares overflows or underflows is measured as
-    T / max|T| and the result scaled back, as :func:`solvers.solve` does.
+    into its projection onto the rank-one line and the complement, with T
+    read through :func:`read_scaled`.
     """
-    _check_tuple_dims(t, u)
-    arr, scale, nrm2 = split_scale(t.array)
+    arr, scale, nrm2 = read_scaled(t, u)
     return scale * residual_from(nrm2, f_from_arrays(arr, u.vectors))
 
 

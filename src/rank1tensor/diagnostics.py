@@ -12,11 +12,10 @@ via u = lambda^(-1/(d-2)) * x; smaller fixed-point norm means larger lambda,
 so the dominant singular value belongs to the nonzero fixed point closest to
 the origin.
 
-``criticality`` and ``check_semi_max`` work on T / max|T| when the sum of
-squares of T overflows or underflows (``core.split_scale``) and report
-multipliers, residuals and margins in the units of T. Both raise
-:class:`InvalidInputError`, as ``solve`` does, when |T| itself exceeds the
-float64 range.
+``criticality`` and ``check_semi_max`` read T through ``core.read_scaled``,
+as ``solve`` does, and report multipliers, residuals and margins in the
+units of T. The fixed-point tools raise :class:`InvalidInputError` on a
+point or step whose result is not a float.
 """
 
 import math
@@ -25,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .core import (
-    UnitTuple, _check_tuple_dims, f_from_arrays, finite_norm, mode_residual, split_scale
-)
+from .core import UnitTuple, f_from_arrays, mode_residual, read_scaled, split_scale
 from .errors import DimensionError, InvalidInputError, UnsupportedError
 
 #: default margin for checks after an alternating solve, relative to |T|
@@ -70,9 +67,7 @@ def criticality(t, u):
     contraction against the other vectors, its multiplier x_i^T v_i, and the
     residual |v_i - lambda_i x_i|. At an exact critical point all residuals
     vanish and the multipliers coincide."""
-    _check_tuple_dims(t, u)
-    arr, scale, nrm2 = split_scale(t.array)
-    finite_norm(scale, nrm2)
+    arr, scale, _ = read_scaled(t, u)
     lambdas = []
     residuals = []
     for x, v in zip(u.vectors, kernels.all_contractions(arr, u.vectors)):
@@ -97,7 +92,7 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     value of the matrix contracted against the frozen vector. A check passes
     when the shortfall is at most ``tol * |T|``.
     """
-    _check_tuple_dims(t, u)
+    arr, scale, nrm2 = read_scaled(t, u)
     if level not in (1, 2):
         raise InvalidInputError(f"level must be 1 or 2, got {level!r}")
     if not tol >= 0.0:
@@ -105,8 +100,7 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     if level == 2 and t.ndim != 3:
         raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
-    arr, scale, nrm2 = split_scale(t.array)
-    slack = tol * finite_norm(scale, nrm2)  # tol * t.norm()
+    slack = tol * (scale * math.sqrt(nrm2))  # tol * t.norm()
     checks = []
     if level == 1:
         contractions = kernels.all_contractions(arr, u.vectors)
@@ -185,10 +179,16 @@ def apply_F(t, vectors):
 
 
 def fixed_point_residual(t, vectors):
-    """|F(v) - v| over the concatenated components, at any finite scale."""
-    fv = apply_F(t, vectors)
-    _, scale, sq = split_scale(np.concatenate([r - v for r, v in zip(fv, vectors)]))
-    return scale * math.sqrt(sq)
+    """|F(v) - v| over the concatenated components, at any finite scale;
+    raises :class:`InvalidInputError` when it is not a float (a NaN or Inf
+    component, or an overflowing F(v))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = apply_F(t, vectors)
+        _, scale, sq = split_scale(np.concatenate([r - v for r, v in zip(fv, vectors)]))
+    residual = scale * math.sqrt(sq)
+    if not math.isfinite(residual):
+        raise InvalidInputError(f"the fixed-point residual is {residual!r}, not a float")
+    return residual
 
 
 def jacobian_check_origin(t, h=1e-3):
@@ -197,12 +197,13 @@ def jacobian_check_origin(t, h=1e-3):
 
     F is multilinear of degree d-1 >= 2 across the component blocks, so all
     its contributions vanish to high order at the origin and the deviation
-    is expected to be O(h^(d-2))-small at worst.
+    is expected to be O(h^(d-2))-small at worst. ``h`` and every difference
+    quotient at it must be finite, or :class:`InvalidInputError` is raised.
     """
     if t.ndim < 3:
         raise UnsupportedError("the induced map needs d >= 3")
-    if not h > 0.0:
-        raise InvalidInputError("the step must be positive")
+    if not 0.0 < h < math.inf:
+        raise InvalidInputError(f"the step must be a finite number > 0, got {h!r}")
     dims = t.dims
     total = sum(dims)
 
@@ -216,10 +217,14 @@ def jacobian_check_origin(t, h=1e-3):
         return flat - np.concatenate(fv)
 
     deviation = 0.0
-    for b in range(total):
-        e = np.zeros(total)
-        e[b] = h
-        column = (g_flat(e) - g_flat(-e)) / (2.0 * h)
-        column[b] -= 1.0
-        deviation = max(deviation, float(np.max(np.abs(column))))
-    return deviation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(total):
+            e = np.zeros(total)
+            e[b] = h
+            column = (g_flat(e) - g_flat(-e)) / (2.0 * h)
+            column[b] -= 1.0
+            # np.max keeps a NaN that Python's max would drop
+            deviation = np.max(np.abs(column), initial=deviation)
+    if not math.isfinite(deviation):
+        raise InvalidInputError(f"a difference quotient at step {h!r} is not finite")
+    return float(deviation)

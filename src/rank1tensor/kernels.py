@@ -14,10 +14,13 @@ are ignored. Every result is a new array, never a view of ``arr``.
 
 Each mode is reduced by one pass over the current result viewed as
 (before, m, after), so no reduction makes a transposed copy of the tensor.
-Modes outside the kept ones are reduced in a fixed order: those after the
-last kept mode from the highest down (the trailing axis), then those before
-the first kept mode from the lowest up (the leading axis), then those
-between kept modes from the highest down.
+Every contraction of a set of modes, from the whole tensor or from a kept
+intermediate, goes through ``contract_partial`` and so takes one order:
+the modes after the last kept mode from the highest down (the trailing
+axis), then those before the first kept mode from the lowest up (the
+leading axis), then those between kept modes from the highest down. Only
+the dimension tree of ``contract_each`` splits its kept modes with its own
+two loops.
 
 Every reduction is a BLAS matrix-vector product (``np.matmul``), and no
 single call reads more than ``BLAS_MAX_ENTRIES`` entries. The trailing axis
@@ -32,17 +35,10 @@ reduction route" section has the measurements.
 
 Tensor passes. One all-but-one contraction reads the whole tensor once, so
 a loop over d modes reads it d times. ``contract_each`` reads it at most
-twice, whatever d, so an als sweep takes 2 passes instead of d.
-``contract_partial`` contracts modes out of an intermediate that a caller
-keeps, a tensor over fewer modes that is already contracted over the rest,
-so a step that starts from one reads no whole tensor. A mals sweep keeps the
-tensor contracted over the modes it has applied: its first round reads the
-tensor twice and its second once, and every later round extends the kept
-intermediate by the mode just applied, so the sweep takes 3 passes at any
-d instead of d(d+1)/2 (6 at d = 3, 10 at d = 4). A pair step of asvd at
-d >= 4 that contracts first a mode the next step also contracts keeps that
-one-mode contraction for the next step: 3 passes per d = 4 sweep instead
-of 6.
+twice, whatever d, so an als sweep takes 2 passes instead of d. A step that
+starts from an intermediate a caller keeps (``contract_partial``) reads no
+whole tensor: so a mals sweep takes 3 passes at any d, and a d = 4 asvd
+sweep 3 instead of 6 (see :mod:`solvers`).
 """
 
 import numpy as np
@@ -76,33 +72,15 @@ def _reduce(out, vector, m, after):
     return result
 
 
-def _contract_outside(arr, vectors, keep):
-    # contract every mode not in the ascending sequence ``keep``; returns
-    # ``arr`` itself when there is nothing to contract
-    shape = arr.shape
-    out = arr
-    for mode in range(arr.ndim - 1, keep[-1], -1):
-        out = _reduce(out, vectors[mode], shape[mode], 1)
-    for mode in range(keep[0]):
-        out = _reduce(out, vectors[mode], shape[mode], out.size // shape[mode])
-    after = 1
-    for mode in range(keep[-1], keep[0], -1):
-        if mode in keep:
-            after *= shape[mode]
-        else:
-            out = _reduce(out, vectors[mode], shape[mode], after)
-    return out
-
-
 def contract_all_but_one(arr, vectors, keep):
     """Contract every mode of ``arr`` except ``keep``; returns a 1-D array."""
-    out = _contract_outside(arr, vectors, (keep,))
+    out = contract_partial(arr, arr.shape, vectors, range(arr.ndim), (keep,))
     return arr.copy() if out is arr else out.reshape(-1)
 
 
 def contract_all_but_two(arr, vectors, keep_i, keep_j):
     """Contract every mode except ``keep_i < keep_j``; returns a matrix."""
-    out = _contract_outside(arr, vectors, (keep_i, keep_j))
+    out = contract_partial(arr, arr.shape, vectors, range(arr.ndim), (keep_i, keep_j))
     if out is arr:
         return arr.copy()
     return out.reshape(arr.shape[keep_i], arr.shape[keep_j])
@@ -126,22 +104,36 @@ def contract_each(arr, vectors, modes, visit, out=None):
     modes = tuple(modes)
     if modes:
         if out is None:
-            out = _contract_outside(arr, vectors, modes)
+            out = contract_partial(arr, arr.shape, vectors, range(arr.ndim), modes)
         _descend(arr, out, vectors, modes, visit)
 
 
 def contract_partial(out, shape, vectors, over, keep):
     """Contract ``out``, a tensor over the ascending modes ``over`` of
     ``shape`` (laid out over them in order, in any array shape), against
-    ``vectors`` over every mode of ``over`` outside ``keep``, from the
-    highest mode down; returns the result, laid out over the modes of
-    ``keep`` in order, or ``out`` itself when no mode is contracted."""
-    after = 1
-    for mode in reversed(over):
-        if mode in keep:
-            after *= shape[mode]
-        else:
-            out = _reduce(out, vectors[mode], shape[mode], after)
+    ``vectors`` over every mode of ``over`` outside the nonempty ascending
+    ``keep``, in the module's reduction order; returns the result, laid out
+    over the modes of ``keep`` in order, or ``out`` itself when no mode is
+    contracted."""
+    # a phase with nothing to contract is skipped: small solves feel its loop
+    first, last = keep[0], keep[-1]
+    if over[-1] > last:
+        for mode in reversed(over):
+            if mode <= last:
+                break
+            out = _reduce(out, vectors[mode], shape[mode], 1)
+    if over[0] < first:
+        for mode in over:
+            if mode >= first:
+                break
+            out = _reduce(out, vectors[mode], shape[mode], out.size // shape[mode])
+    if last - first >= len(keep):  # a mode between kept ones
+        after = 1
+        for mode in range(last, first, -1):
+            if mode in keep:
+                after *= shape[mode]
+            elif mode in over:
+                out = _reduce(out, vectors[mode], shape[mode], after)
     return out
 
 

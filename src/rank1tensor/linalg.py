@@ -18,7 +18,8 @@ eigenvector:
   side CARRY_MIN_SIDE = 64 the route squares only to P^4 and carries P^4's
   column to P^64's by 15 matrix-vector products, 3 matrix products (the
   Gram matrix and 2 squarings) instead of 7; the same residual and
-  x^T P^4 x > 1/2 certify it, and when they fail the squaring goes on.
+  x^T P^4 x > 1/2 certify it, and when they fail the squaring goes on. As
+  x^T P^4 x <= |P^4|_F for unit x, the carry is tried only if |P^4|_F^2 > 1/4.
 
 The squaring route runs when the smaller side is at least
 SQUARING_MIN_SIDE, where it is faster; when its certificate fails (an
@@ -134,10 +135,12 @@ def _certified_top_eigvec(g, trace):
     for s in range(1, MAX_SQUARINGS + 1):
         p = p @ p
         if s == CARRY_SQUARINGS and len(g) >= CARRY_MIN_SIDE:
-            p4 = p / p.trace()
-            x = _carried_candidate(p4)
-            if _certify(g, p4, x):
-                return x, s
+            flat, tr = p.reshape(-1), p.trace()
+            if np.dot(flat, flat) > 0.25 * tr * tr:
+                p4 = p / tr
+                x = _carried_candidate(p4)
+                if _certify(g, p4, x):
+                    return x, s
         if s < FIRST_CHECK_SQUARINGS:
             if s % 3 == 0:
                 p /= p.trace()

@@ -59,7 +59,7 @@ for bit as a solve without it.
 
 The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
 tensor whose sum of squares overflows or underflows is solved as
-T / max|T| and its results are scaled back.
+T / max|T| and its results are scaled back (:func:`core.read_scaled`).
 """
 
 import functools
@@ -76,11 +76,10 @@ from . import kernels, linalg
 from .core import (
     Tensor,
     UnitTuple,
-    _check_tuple_dims,
     f_from_arrays,
     f_value,
-    finite_norm,
     mode_residual,
+    read_scaled,
     residual_from,
     split_scale,
     tangent_basis,
@@ -585,13 +584,10 @@ def solve(t, cfg=None, initial=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    arr, scale, nrm2 = split_scale(t.array)
+    arr, scale, nrm2 = read_scaled(t, initial)
     if nrm2 == 0.0:
         raise DegenerateInputError("the zero tensor has no rank-one direction")
-    finite_norm(scale, nrm2)
     _check_method_dims(cfg.method, t.ndim)
-    if initial is not None:
-        _check_tuple_dims(t, initial)
     if arr is not t.array:
         t = Tensor(arr, copy=False)
     nrm = math.sqrt(nrm2)

@@ -6,6 +6,7 @@ import pytest
 from rank1tensor import (
     DimensionError,
     InvalidInputError,
+    Rank1Error,
     SingularBlockError,
     Tensor,
     UnitTuple,
@@ -24,6 +25,7 @@ from rank1tensor.solvers import SolverConfig, _random_start, als_sweep, init_ran
 
 import oracles
 from ami_instances import instance_stream
+from conftest import SCALE_EXPONENTS, max_scaled
 
 
 class TestBlockQuadraticForm:
@@ -31,6 +33,12 @@ class TestBlockQuadraticForm:
         h = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(InvalidInputError):
             BlockQuadraticForm(h, (1, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        # NaN passed the symmetry test and Inf made it warn
+        with pytest.raises(InvalidInputError, match="finite"):
+            BlockQuadraticForm([[1.0, bad], [bad, 1.0]], (1, 1))
 
     def test_rejects_bad_partition(self):
         with pytest.raises(DimensionError):
@@ -345,6 +353,36 @@ class TestHessianFormBridge:
         assert np.sort(np.abs(hh.eigenvalues)) == pytest.approx(
             np.sort(np.abs(qr.eigenvalues)), rel=1e-12, abs=1e-12
         )
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (3, 2, 4, 3)], ids=str)
+    def test_scale_sweep(self, dims, k):
+        # max|entry| = 10^k: H is c times the unscaled H and analyze reports
+        # the same counts and rho where the entries are normal floats; at
+        # other finite norms H is finite and analyze answers or raises a
+        # documented error; beyond them InvalidInputError
+        t1, t, exact = max_scaled(dims, 1, k)
+        cfg = SolverConfig(method="asvd", fitchange_tol=1e-12, max_iterations=2000)
+        u = solve(t1, cfg).axes
+        c = 10.0**k
+        if not np.isfinite(c * t1.norm()):
+            with pytest.raises(InvalidInputError, match="float64 range"):
+                hessian_form_at(t, u)
+            return
+        form, base = hessian_form_at(t, u), hessian_form_at(t1, u)
+        assert np.isfinite(form.h).all()
+        try:
+            got = analyze(form)
+        except Rank1Error:
+            assert not exact
+            return
+        assert np.isfinite(got.spectral_radius)
+        if exact:
+            np.testing.assert_allclose(form.h, c * base.h, rtol=1e-13, atol=0.0)
+            want = analyze(base)
+            assert (got.alpha, got.beta, got.gamma) == (want.alpha, want.beta, want.gamma)
+            assert got.inertia == want.inertia
+            assert got.spectral_radius == pytest.approx(want.spectral_radius, rel=1e-12)
 
     def test_mode_of_size_one_rejected(self):
         t = Tensor(np.random.default_rng(6).standard_normal((3, 1, 2)))

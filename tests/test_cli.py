@@ -8,9 +8,10 @@ import pytest
 
 import rank1tensor.cli as cli
 from rank1tensor import BreakdownError, SolverConfig, Tensor, UnitTuple, io, solve
+from rank1tensor.ami import hessian_form_at
 from rank1tensor.bench import CSV_HEADER
 
-from conftest import planted_rank1, random_tensor
+from conftest import SCALE_EXPONENTS, max_scaled, planted_rank1, random_tensor
 
 
 @pytest.fixture
@@ -259,6 +260,16 @@ class TestVerify:
             capsys.readouterr()
         assert codes[0] == codes[1] == (3 if bump else 0)
 
+    def test_tuple_of_other_dims_exits_one(self, plant_files, tmp_path, capsys):
+        _, _, tensor_path, _ = plant_files
+        tuple_path = tmp_path / "axes.txt"
+        io.write_tuple_text(UnitTuple([np.ones(3), np.ones(2), np.ones(3)], normalize=True), tuple_path)
+        code = cli.main(["verify", "--input", tensor_path, "--tuple", str(tuple_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: tuple dims (3, 2, 3) do not match tensor dims (3, 3, 3)\n"
+
     def test_off_sphere_tuple_warns_and_normalizes(self, plant_files, tmp_path, capsys):
         t, axes, tensor_path, _ = plant_files
         text = io.format_tuple_text(axes).splitlines()
@@ -446,6 +457,75 @@ class TestAmi:
         code = cli.main(["ami", "--input", path, "--basin", str(xi_path), "--sweeps", "0"])
         assert code == 0
         assert parse_report(capsys.readouterr().out)["basin_sweeps"] == "0"
+
+
+class TestScaleSweep:
+    """``decompose``, ``verify`` and ``ami`` on files at scales 10^k (the
+    tensor's max|entry|, or H's), with every warning an error. Each run
+    exits 0 (``verify`` also 3, a failed check) with finite numbers, or 1
+    with an ``error:`` line; a tensor of norm beyond the float64 range
+    exits 1. Where the entries are normal floats, the report is the
+    unscaled one's: lambda times c, the same verify verdict and the same
+    ami counts."""
+
+    write_h = TestAmi.write_h
+
+    def run(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        report = parse_report(captured.out)
+        if code == 1:
+            assert captured.err.startswith("error: ")
+        else:
+            for value in report.values():
+                for token in value.split():
+                    try:
+                        number = float(token)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(number), (argv[0], token)
+        return code, report
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_finite_report_or_input_error(self, k, tmp_path, capsys):
+        t1, t, exact = max_scaled((3, 4, 5), 1, k)
+        c = 10.0**k
+        cfg = SolverConfig(method="asvd", fitchange_tol=1e-12, max_iterations=2000)
+        axes = solve(t1, cfg).axes
+        h1 = hessian_form_at(t1, axes).h
+        h1 /= np.max(np.abs(h1))
+        tuple_path, xi_path = tmp_path / "axes.txt", tmp_path / "xi.txt"
+        io.write_tuple_text(axes, tuple_path)
+        xi_path.write_text(" ".join(f"{x:.17g}" for x in np.linspace(-1.0, 1.0, 9)) + "\n")
+        reports = {}
+        for name, tensor, h in (("unit", t1, h1), ("scaled", t, c * h1)):
+            tensor_path = tmp_path / f"{name}.txt"
+            io.write_tensor_text(tensor, tensor_path)
+            h_path = self.write_h(tmp_path, h, (2, 3, 4), f"h_{name}.txt")
+            reports[name] = [
+                self.run(argv, capsys)
+                for argv in (
+                    ["decompose", "--input", str(tensor_path), "--method", "asvd"],
+                    ["verify", "--input", str(tensor_path), "--tuple", str(tuple_path)],
+                    ["ami", "--input", h_path, "--basin", str(xi_path), "--sweeps", "20"],
+                )
+            ]
+        (dec1, dec), (ver1, ver), (ami1, ami) = zip(reports["unit"], reports["scaled"])
+        assert dec1[0] == ver1[0] == ami1[0] == 0
+        if not np.isfinite(c * t1.norm()):
+            assert dec[0] == ver[0] == 1
+            assert dec[1] == ver[1] == {}
+        elif exact:
+            assert dec[0] == ver[0] == 0
+            assert float(dec[1]["lambda"]) == pytest.approx(c * float(dec1[1]["lambda"]), rel=1e-10)
+        else:
+            assert dec[0] == 0 and ver[0] in (0, 3)
+        assert ami[0] in (0, 1)
+        if c * np.min(np.abs(h1[h1 != 0.0])) >= np.finfo(np.float64).tiny:
+            keys = ("alpha", "beta", "gamma", "pi", "nu", "zeta", "theorem_holds")
+            assert [ami[1][key] for key in keys] == [ami1[1][key] for key in keys]
 
 
 class TestBadInputFiles:

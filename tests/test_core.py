@@ -16,7 +16,14 @@ from rank1tensor import (
 )
 
 import oracles
-from conftest import planted_rank1, random_tensor, random_tuple, rank1_tensor
+from conftest import (
+    SCALE_EXPONENTS,
+    max_scaled,
+    planted_rank1,
+    random_tensor,
+    random_tuple,
+    rank1_tensor,
+)
 
 
 class TestTensor:
@@ -174,6 +181,24 @@ class TestResidualNorm:
             f = f_value(t, u)
             r = residual_norm(t, u)
             assert f * f + r * r == pytest.approx(t.norm() ** 2, abs=1e-10 * t.norm() ** 2)
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (3, 2, 4, 3), (1, 3, 4)], ids=str)
+    def test_scale_sweep(self, dims, k):
+        # max|entry| = 10^k: a finite residual, c times the unscaled one
+        # where the entries are normal floats, or InvalidInputError where
+        # |T| exceeds the float64 range (it returned inf or NaN there)
+        t1, t, exact = max_scaled(dims, 1, k)
+        u = random_tuple(dims, 2)
+        c = 10.0**k
+        if not np.isfinite(c * t1.norm()):
+            with pytest.raises(InvalidInputError, match="float64 range"):
+                residual_norm(t, u)
+            return
+        r = residual_norm(t, u)
+        assert np.isfinite(r) and r > 0.0
+        if exact:
+            assert r == pytest.approx(c * residual_norm(t1, u), rel=1e-12)
 
 
 def test_randomized_contract_unfold_consistency():

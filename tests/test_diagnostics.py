@@ -25,6 +25,7 @@ from rank1tensor.solvers import SolverConfig, solve
 
 from conftest import (
     FIXTURE_2X2X2,
+    SCALE_EXPONENTS,
     planted_rank1,
     random_tensor,
     random_tuple,
@@ -292,6 +293,20 @@ class TestApplyF:
             assert lam_back == pytest.approx(lam, rel=1e-12)
             assert all(np.allclose(a, b) for a, b in zip(back.vectors, x.vectors))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflowing"]
+    )
+    def test_residual_that_is_not_a_float_is_input_error(self, bad):
+        # NaN or Inf in one component, or F(v) beyond the float64 range
+        t = random_tensor((3, 4, 5), 18)
+        v = [np.ones(3), np.ones(4), np.ones(5)]
+        if bad == 1e200:
+            v = [bad * c for c in v]
+        else:
+            v[1][2] = bad
+        with pytest.raises(InvalidInputError, match="fixed-point residual"):
+            fixed_point_residual(t, v)
+
     def test_dominant_critical_point_is_closest_to_origin(self):
         t, top, second = two_term_diagonal()
         v_top = fixed_point_from_tuple(top, 5.0)
@@ -308,6 +323,23 @@ class TestJacobianAtOrigin:
 
     def test_zero_tensor_exact(self):
         assert jacobian_check_origin(Tensor(np.zeros((2, 2, 2))), 1e-3) == 0.0
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, np.inf, np.nan])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(InvalidInputError, match="step"):
+            jacobian_check_origin(random_tensor((2, 3, 4), 81), h)
+
+    def test_overflowing_difference_quotient_is_input_error(self):
+        # h * T overflows inside F(h e_b); Python's max would drop the NaN
+        # column that follows and report 0.0
+        t = Tensor(1e300 * np.random.default_rng(82).standard_normal((3, 4, 5)))
+        with pytest.raises(InvalidInputError, match="difference quotient"):
+            jacobian_check_origin(t, 1e10)
+
+    def test_huge_finite_step_is_exact(self):
+        # F vanishes at a point with one nonzero block, so the quotients
+        # are the identity's at any step h * T does not overflow
+        assert jacobian_check_origin(random_tensor((3, 4, 5), 83), 1e200) == 0.0
 
     def test_deviation_does_not_grow_when_halving(self):
         # the map is block-multilinear, so coordinate differences are exact
@@ -329,7 +361,7 @@ class TestScaleSweep:
     NumPy warnings are errors here, as everywhere in the suite.
     """
 
-    EXPONENTS = [-320, -310, -300, -200, -160, 0, 160, 200, 300, 307, 308]
+    EXPONENTS = SCALE_EXPONENTS
     SHAPES = [(3, 4, 5), (3, 2, 4, 3), (1, 3, 4)]
 
     @pytest.mark.parametrize("k", EXPONENTS)

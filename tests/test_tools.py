@@ -216,13 +216,22 @@ def test_tensor_reads_count_whole_tensor_passes_per_sweep():
 
 def test_kernel_timings_cover_the_shapes_and_modes():
     rows = perf_ab.kernel_timings(repeats=1, seconds=0.0)
+    partial = (
+        "contract_partial(over (0, 1, 2), keep (1, 2))",
+        "contract_partial(over (0, 1, 2), keep (1,))",
+    )
     assert [(r["dims"], r["step"]) for r in rows] == [
         (dims, step)
-        for dims, last in (("64x64x64", 2), ("128x128x128", 2), ("32x32x32x32", 3))
+        for dims, last, extra in (
+            ("64x64x64", 2, ()),
+            ("128x128x128", 2, partial),
+            ("32x32x32x32", 3, partial),
+        )
         for step in (
             "contract_all_but_one(0)",
             f"contract_all_but_one({last})",
             "contract_all_but_two(1, 2)",
+            *extra,
         )
     ]
     assert all(r["us_per_call"] > 0.0 and r["cpu_over_wall"] > 0.0 for r in rows)

@@ -39,7 +39,9 @@ start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
 starts with nothing to carry over; the solve shows what a masvd sweep
 reuses from the one before it. The same rows time the kernel layer:
 ``contract_all_but_one`` on the first and the last mode and
-``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4; and the large
+``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4, and
+``contract_partial`` of one and of two modes out of a kept intermediate at
+128^3 and 32^4; and the large
 steps: a lone mals sweep at 128^3 and 32^4, a lone asvd sweep at 32^4 and
 ``top_singular_triple`` of 64x64 and 128x128 pair matrices. Each row also
 gives the CPU time over wall time of its best batch.
@@ -91,6 +93,8 @@ TIGHT_CELLS = (((32, 32, 32), "asvd"), ((8, 8, 8), "asvd"), ((8, 8, 8), "masvd")
 TIGHT_SOLVES = 24
 #: shapes of the Gaussian tensors at which the kernel layer is timed
 KERNEL_DIMS = ((64, 64, 64), (128, 128, 128), (32, 32, 32, 32))
+#: the kernel shapes at which contract_partial is also timed
+PARTIAL_DIMS = ((128, 128, 128), (32, 32, 32, 32))
 #: median item counts closer than this give no RSS slope
 SLOPE_MIN_ITEMS = 100
 #: (dims, step) of the large update-step rows: lone sweeps, and the pair
@@ -392,7 +396,12 @@ def kernel_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     """Rows of best-of-N µs per call, with CPU over wall time, of the
     kernels of the importable ``rank1tensor`` on a Gaussian tensor of each
     shape in KERNEL_DIMS: ``contract_all_but_one`` keeping the first and the
-    last mode, and ``contract_all_but_two`` keeping modes 1 and 2."""
+    last mode, and ``contract_all_but_two`` keeping modes 1 and 2. At the
+    shapes in PARTIAL_DIMS it also times ``contract_partial`` contracting one
+    mode (0) and two modes (0 and 2) out of an intermediate over modes
+    (0, 1, 2), taken outside the timing: the tensor itself at d = 3, as a
+    mals sweep keeps it, and the tensor contracted over mode 3 at d = 4, as
+    a d = 4 asvd step keeps it."""
     import numpy as np
     from rank1tensor import kernels
 
@@ -407,6 +416,13 @@ def kernel_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
             f"contract_all_but_one({last})": lambda: kernels.contract_all_but_one(arr, vecs, last),
             "contract_all_but_two(1, 2)": lambda: kernels.contract_all_but_two(arr, vecs, 1, 2),
         }
+        if dims in PARTIAL_DIMS:
+            over = (0, 1, 2)
+            kept = kernels.contract_partial(arr, dims, vecs, range(len(dims)), over)
+            for keep in ((1, 2), (1,)):
+                calls[f"contract_partial(over {over}, keep {keep})"] = (
+                    lambda keep=keep: kernels.contract_partial(kept, dims, vecs, over, keep)
+                )
         rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
     return rows
 
