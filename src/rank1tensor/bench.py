@@ -1,10 +1,10 @@
 """Benchmark harness: dataset generation, repeated seeded solves, timing and
 quality tables, CSV output.
 
-Synthetic data is regenerated per run (with a per-run seed derived from the
-spec seed and the run index), volume files are read as-is; each run also
-gets a fresh random start. Rows are therefore reproducible bit for bit
-except for the wall-clock column.
+Every dataset is synthetic, with 8-bit integer samples, and is regenerated
+per run (with a per-run seed derived from the spec seed and the run index);
+each run also gets a fresh random start. Rows are therefore reproducible
+bit for bit except for the wall-clock column.
 """
 
 import math
@@ -18,7 +18,9 @@ from .core import Tensor
 from .errors import DimensionError, InvalidInputError, Rank1Error
 from .solvers import SolverConfig, solve
 
-KINDS = ("random_uniform", "symmetric_random", "volume_file", "smooth_blob")
+KINDS = ("random_uniform", "symmetric_random", "smooth_blob")
+#: sample depth of the generated datasets: values are 0 .. 2^BITS - 1
+BITS = 8
 
 CSV_HEADER = (
     "method,dataset,dims,run,seed,iterations,opt_calls,lambda,"
@@ -31,21 +33,15 @@ class DatasetSpec:
     kind: str
     dims: tuple
     seed: int = 0
-    bits: int = 8
-    path: str = None
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown dataset kind {self.kind!r}")
-        if self.bits not in (8, 16):
-            raise InvalidInputError(f"unsupported bit depth {self.bits}")
         if any(m < 1 for m in self.dims) or not self.dims:
             raise DimensionError(f"invalid dims {self.dims}")
         if self.kind == "symmetric_random" and len(set(self.dims)) != 1:
             raise InvalidInputError("symmetric_random needs cubical dims")
-        if self.kind == "volume_file" and not self.path:
-            raise InvalidInputError("volume_file needs a path")
 
     @property
     def dims_label(self):
@@ -58,7 +54,7 @@ def generate(spec, seed=None):
     if seed is None:
         seed = spec.seed
     rng = np.random.default_rng(seed)
-    high = 2**spec.bits  # exclusive; values are 0 .. 2^bits - 1
+    high = 2**BITS  # exclusive
 
     if spec.kind == "random_uniform":
         values = rng.integers(0, high, size=spec.dims).astype(np.float64)
@@ -73,34 +69,22 @@ def generate(spec, seed=None):
         # integer-valued summands make the average exactly permutation-invariant
         return Tensor(acc / float(math.factorial(d)), copy=False)
 
-    if spec.kind == "smooth_blob":
-        # correlated stand-in for real volume data: a few random bumps,
-        # quantized to the requested bit depth
-        grids = np.meshgrid(
-            *[np.linspace(0.0, 1.0, m) for m in spec.dims], indexing="ij"
-        )
-        values = np.zeros(spec.dims)
-        for _ in range(4):
-            center = rng.uniform(0.2, 0.8, size=len(spec.dims))
-            width = rng.uniform(0.1, 0.3)
-            amplitude = rng.uniform(0.3, 1.0)
-            dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-            values += amplitude * np.exp(-dist2 / (2.0 * width**2))
-        peak = values.max()
-        if peak > 0:
-            values *= (high - 1) / peak
-        return Tensor(np.floor(values), copy=False)
-
-    # volume_file: raw little-endian unsigned integers, row-major
-    dtype = "<u1" if spec.bits == 8 else "<u2"
-    raw = np.fromfile(spec.path, dtype=dtype)
-    expected = math.prod(spec.dims)
-    if raw.size != expected:
-        raise InvalidInputError(
-            f"{spec.path}: {raw.size} samples do not fill dims {spec.dims} "
-            f"({expected} expected)"
-        )
-    return Tensor(raw.astype(np.float64).reshape(spec.dims), copy=False)
+    # smooth_blob: a correlated stand-in for real volume data, a few random
+    # bumps quantized to BITS bits
+    grids = np.meshgrid(
+        *[np.linspace(0.0, 1.0, m) for m in spec.dims], indexing="ij"
+    )
+    values = np.zeros(spec.dims)
+    for _ in range(4):
+        center = rng.uniform(0.2, 0.8, size=len(spec.dims))
+        width = rng.uniform(0.1, 0.3)
+        amplitude = rng.uniform(0.3, 1.0)
+        dist2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+        values += amplitude * np.exp(-dist2 / (2.0 * width**2))
+    peak = values.max()
+    if peak > 0:
+        values *= (high - 1) / peak
+    return Tensor(np.floor(values), copy=False)
 
 
 @dataclass
@@ -142,7 +126,7 @@ class BenchRow:
 
 def _one_run(spec, method, run):
     run_seed = spec.seed + run
-    data = generate(spec, seed=(run_seed, 0)) if spec.kind != "volume_file" else generate(spec)
+    data = generate(spec, seed=(run_seed, 0))
     cfg = SolverConfig(method=method, seed=(run_seed, 1))
     started = time.perf_counter()
     try:

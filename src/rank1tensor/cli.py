@@ -156,6 +156,11 @@ def cmd_ami(args):
     h, sizes = io.read_block_matrix_text(args.input)
     form = ami_mod.BlockQuadraticForm(h, sizes)
     report = ami_mod.analyze(form)
+    # the trajectory runs before any output, so a bad start prints nothing
+    trajectory = None
+    if args.basin:
+        xi0 = io.read_vector_text(args.basin)
+        trajectory = ami_mod.basin_experiment(form, xi0, sweeps=args.sweeps)
     print(f"order {form.order}")
     print(f"block_sizes {' '.join(str(m) for m in form.block_sizes)}")
     print(f"alpha {report.alpha}")
@@ -171,9 +176,7 @@ def cmd_ami(args):
     print(f"ostrowski {report.ostrowski}")
     print(f"pi_lower_bound_ok {report.pi_lower_bound_ok}")
     print(f"unit_circle_near_one {report.unit_circle_near_one}")
-    if args.basin:
-        xi0 = io.read_vector_text(args.basin)
-        trajectory = ami_mod.basin_experiment(form, xi0, sweeps=args.sweeps)
+    if trajectory is not None:
         print(f"basin_sweeps {trajectory.sweeps_run}")
         print(f"basin_norm_first {_fmt(trajectory.norms[0])}")
         print(f"basin_norm_last {_fmt(trajectory.norms[-1])}")

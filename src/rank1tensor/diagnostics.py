@@ -14,7 +14,8 @@ the origin.
 
 ``criticality`` and ``check_semi_max`` read T through ``core.read_scaled``,
 as ``solve`` does, and report multipliers, residuals and margins in the
-units of T. The fixed-point tools raise :class:`InvalidInputError` on a
+units of T. The level-2 check visits the pairs of
+``solvers.default_pair_schedule``, the order asvd takes them in. The fixed-point tools raise :class:`InvalidInputError` on a
 point or step whose result is not a float.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import kernels, linalg
 from .core import UnitTuple, f_from_arrays, mode_residual, read_scaled, split_scale
 from .errors import DimensionError, InvalidInputError, UnsupportedError
+from .solvers import default_pair_schedule
 
 #: default margin for checks after an alternating solve, relative to |T|
 POST_SOLVE_TOL = 1e-6
@@ -43,7 +45,9 @@ class CriticalityReport:
 
 @dataclass
 class SemiMaxCheck:
-    index: int  # mode (level 1) or frozen mode (level 2)
+    #: the mode (level 1), or the step of ``default_pair_schedule(d)``
+    #: whose pair is checked (level 2; at d = 3 the mode left out)
+    index: int
     margin: float  # f minus the best attainable value; ~0 or negative
     passed: bool
 
@@ -83,22 +87,22 @@ def criticality(t, u):
 
 
 def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
-    """Is ``u`` maximal in each mode (level 1) or each pair of modes with
-    the third frozen (level 2, 3-mode tensors only)?
+    """Is ``u`` maximal in each mode (level 1) or in each pair of modes
+    with the others fixed (level 2, d >= 3)?
 
     Level 1 uses that the maximum of a linear functional on the sphere is
     the norm of its coefficient vector: mode i is maximal iff
     f = |T x (other vectors)|. Level 2 compares f with the top singular
-    value of the matrix contracted against the frozen vector. A check passes
-    when the shortfall is at most ``tol * |T|``.
+    value of the pair's matrix, contracted against every other vector; its
+    checks follow ``solvers.default_pair_schedule(d)``, which raises
+    :class:`UnsupportedError` below d = 3. A check passes when the shortfall
+    is at most ``tol * |T|``.
     """
     arr, scale, nrm2 = read_scaled(t, u)
     if level not in (1, 2):
         raise InvalidInputError(f"level must be 1 or 2, got {level!r}")
     if not tol >= 0.0:
         raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
-    if level == 2 and t.ndim != 3:
-        raise UnsupportedError("level-2 checks are defined for 3-mode tensors")
 
     slack = tol * (scale * math.sqrt(nrm2))  # tol * t.norm()
     checks = []
@@ -111,13 +115,13 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
             checks.append(SemiMaxCheck(index=i, margin=margin, passed=margin >= -slack))
         return SemiMaxReport(level="one_semi", tol=tol, checks=checks)
 
+    pairs = default_pair_schedule(arr.ndim)
     f = f_from_arrays(arr, u.vectors)
-    for k in range(3):
-        i, j = (m for m in range(3) if m != k)
+    for s, (i, j) in enumerate(pairs):
         mat = kernels.contract_all_but_two(arr, u.vectors, i, j)
         best = linalg.top_singular_triple(mat).sigma
         margin = scale * (f - best)
-        checks.append(SemiMaxCheck(index=k, margin=margin, passed=margin >= -slack))
+        checks.append(SemiMaxCheck(index=s, margin=margin, passed=margin >= -slack))
     return SemiMaxReport(level="two_semi", tol=tol, checks=checks)
 
 

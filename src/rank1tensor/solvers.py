@@ -60,6 +60,9 @@ for bit as a solve without it.
 The problem is homogeneous: solving c*T gives c*lambda at the same axes. A
 tensor whose sum of squares overflows or underflows is solved as
 T / max|T| and its results are scaled back (:func:`core.read_scaled`).
+:func:`sweep` runs one sweep of any method from a given tuple, on the
+tensor that gate returns; unit vectors do not depend on the scale, so
+nothing is scaled back.
 """
 
 import functools
@@ -74,17 +77,14 @@ import numpy as np
 
 from . import kernels, linalg
 from .core import (
-    Tensor,
     UnitTuple,
     f_from_arrays,
-    f_value,
     mode_residual,
     read_scaled,
     residual_from,
     split_scale,
     tangent_basis,
     tangent_hessian,
-    unfold,
 )
 from .errors import (
     BreakdownError,
@@ -254,13 +254,13 @@ def _draw_unit_vectors(rng, dims):
     return vecs
 
 
-def _random_start(dims, seed, t):
-    # the first random unit vectors with a nonzero objective, and that
-    # objective; at most START_RETRIES draws
+def _random_start(arr, seed):
+    # the first random unit vectors with a nonzero objective at ``arr``, and
+    # that objective; at most START_RETRIES draws
     rng = _rng(seed)
     for _ in range(START_RETRIES):
-        vecs = _draw_unit_vectors(rng, dims)
-        f = f_from_arrays(t.array, vecs)
+        vecs = _draw_unit_vectors(rng, arr.shape)
+        f = f_from_arrays(arr, vecs)
         if f != 0.0:
             return vecs, f
     raise DegenerateInputError(
@@ -276,9 +276,17 @@ def init_hosvd(t):
     arr, _, nrm2 = split_scale(t.array)
     if nrm2 == 0.0:
         raise DegenerateInputError("cannot initialize from the zero tensor")
-    if arr is not t.array:
-        t = Tensor(arr, copy=False)
-    return UnitTuple([linalg.top_singular_triple(unfold(t, i)).u for i in range(t.ndim)])
+    return UnitTuple(_hosvd_vectors(arr))
+
+
+def _hosvd_vectors(arr):
+    # per mode i, the top left singular vector of the mode-i unfolding
+    # (core.unfold): mode i on the rows, the other modes in increasing order
+    # on the columns, C-contiguous
+    return [
+        linalg.top_singular_triple(np.moveaxis(arr, i, 0).reshape(m, -1)).u
+        for i, m in enumerate(arr.shape)
+    ]
 
 
 def default_pair_schedule(d):
@@ -286,7 +294,9 @@ def default_pair_schedule(d):
 
     d=3 and d=4 use fixed orders; for d>4 all C(d,2) pairs are arranged
     greedily so that consecutive pairs are index-disjoint when possible,
-    falling back to the lexicographically first unused pair.
+    falling back to the lexicographically first unused pair. At d=3 step k
+    is the pair without mode k: masvd's candidate k, which freezes x_k.
+    ``diagnostics.check_semi_max(level=2)`` checks the pairs in this order.
     """
     if d < 3:
         raise UnsupportedError("pair schedules need at least 3 modes")
@@ -419,15 +429,13 @@ def _mals_sweep(arr, vecs, trace, cache):
     return f
 
 
-#: the pair that masvd's candidate k replaces, by frozen mode k
-_MASVD_PAIRS = ((1, 2), (0, 2), (0, 1))
-
-
 def _masvd_sweep(arr, vecs, trace, cache):
-    # Candidate k freezes x_k and replaces the other two vectors by the top
-    # singular pair of the contracted matrix; it depends on x_k only, so
-    # the solve's ``cache`` keeps it, across sweeps too, until x_k changes.
-    # A candidate carried into a sweep still counts as an optimization call.
+    # Candidate k freezes x_k and replaces the other two vectors, the pair
+    # pairs[k], by the top singular pair of the contracted matrix; it
+    # depends on x_k only, so the solve's ``cache`` keeps it, across sweeps
+    # too, until x_k changes. A candidate carried into a sweep still counts
+    # as an optimization call.
+    pairs = default_pair_schedule(3)
     trace._calls += len(cache)
     remaining = [0, 1, 2]
     while remaining:
@@ -436,7 +444,7 @@ def _masvd_sweep(arr, vecs, trace, cache):
         for k in remaining:
             entry = cache.get(k)
             if entry is None:
-                i, j = _MASVD_PAIRS[k]
+                i, j = pairs[k]
                 mat = kernels.contract_all_but_two(arr, vecs, i, j)
                 triple = _pair_triple(mat, i, j, trace)
                 entry = cache[k] = (triple.sigma, triple.u, triple.v)
@@ -445,7 +453,7 @@ def _masvd_sweep(arr, vecs, trace, cache):
             if best is None or entry[0] > best[0]:
                 best, chosen = entry, k
         f, u_new, v_new = best
-        i, j = _MASVD_PAIRS[chosen]
+        i, j = pairs[chosen]
         for m, new in ((i, u_new), (j, v_new)):
             if (vecs[m] != new).any():
                 cache.pop(m, None)
@@ -547,31 +555,23 @@ _SWEEPS = {
 }
 
 
-def _one_sweep(method, t, u):
-    _check_method_dims(method, t.ndim)
-    vecs = [v.copy() for v in u.vectors]
-    _SWEEPS[method](t.array, vecs, SolverTrace(), {})
+def sweep(t, u, method):
+    """One sweep of ``method`` from the tuple ``u``; returns the new tuple.
+
+    T is read through :func:`core.read_scaled`, as :func:`solve` reads it:
+    a tensor whose sum of squares overflows or underflows is swept as
+    T / max|T|, which gives the same unit vectors. Raises
+    :class:`InvalidInputError` for an unknown method or a norm beyond the
+    float64 range, :class:`DimensionError` for a tuple of other dims and
+    :class:`UnsupportedError` for a method not defined at T's mode count.
+    """
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}")
+    arr, _, _ = read_scaled(t, u)
+    _check_method_dims(method, arr.ndim)
+    vecs = list(u.vectors)
+    _SWEEPS[method](arr, vecs, SolverTrace(), {})
     return UnitTuple(vecs)
-
-
-def als_sweep(t, u):
-    """One full cyclic sweep of single-mode updates; returns the new tuple."""
-    return _one_sweep("als", t, u)
-
-
-def asvd_sweep(t, u):
-    """One pass of pair updates in the default order for d."""
-    return _one_sweep("asvd", t, u)
-
-
-def mals_sweep(t, u):
-    """One greedy best-candidate-first sweep of single-mode updates."""
-    return _one_sweep("mals", t, u)
-
-
-def masvd_sweep(t, u):
-    """One greedy best-candidate-first sweep of pair updates (3-mode only)."""
-    return _one_sweep("masvd", t, u)
 
 
 def solve(t, cfg=None, initial=None):
@@ -587,19 +587,19 @@ def solve(t, cfg=None, initial=None):
     arr, scale, nrm2 = read_scaled(t, initial)
     if nrm2 == 0.0:
         raise DegenerateInputError("the zero tensor has no rank-one direction")
-    _check_method_dims(cfg.method, t.ndim)
-    if arr is not t.array:
-        t = Tensor(arr, copy=False)
+    _check_method_dims(cfg.method, arr.ndim)
     nrm = math.sqrt(nrm2)
 
-    if cfg.init == "random" and initial is None:
-        vecs, f_current = _random_start(t.dims, cfg.seed, t)
+    if initial is not None:
+        vecs = [v.copy() for v in initial.vectors]
+        f_current = f_from_arrays(arr, vecs)
+    elif cfg.init == "random":
+        vecs, f_current = _random_start(arr, cfg.seed)
     else:
-        u0 = initial if initial is not None else init_hosvd(t)
-        vecs = [v.copy() for v in u0.vectors]
-        f_current = f_value(t, u0)
+        vecs = _hosvd_vectors(arr)
+        f_current = f_from_arrays(arr, vecs)
     trace = SolverTrace(f_current)
-    sweep = _SWEEPS[cfg.method]
+    one_sweep = _SWEEPS[cfg.method]
     cache = {}
 
     # the Newton finish's target: None unless the solve is tight and the
@@ -616,7 +616,7 @@ def solve(t, cfg=None, initial=None):
     converged_by = "max_iterations"
     for _ in range(cfg.max_iterations):
         started = time.perf_counter()
-        fit = sweep(arr, vecs, trace, cache) / nrm
+        fit = one_sweep(arr, vecs, trace, cache) / nrm
         change = abs(fit - fit_prev)
         stop = change < tol
         if target is not None and change < retry_below and not (stop and tried):

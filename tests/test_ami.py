@@ -21,7 +21,7 @@ from rank1tensor.ami import (
 )
 from rank1tensor.core import f_from_arrays, tangent_basis, tangent_hessian
 from rank1tensor.linalg import inertia
-from rank1tensor.solvers import SolverConfig, _random_start, als_sweep, init_random, solve
+from rank1tensor.solvers import SolverConfig, _random_start, init_random, solve, sweep
 
 import oracles
 from ami_instances import instance_stream
@@ -460,13 +460,13 @@ def als_tail(dims, seed):
     takes (it stops on that fit change or on certified stationarity), then
     200 more; the last tuple is x* and errors[k] = |x_k - x*|."""
     t = Tensor(np.random.default_rng(seed).standard_normal(dims))
-    u0 = UnitTuple(_random_start(dims, seed, t)[0])
+    u0 = UnitTuple(_random_start(t.array, seed)[0])
     cfg = SolverConfig(max_iterations=100_000, fitchange_tol=1e-15)
     result = solve(t, cfg, initial=u0)
     assert result.converged_by in ("fitchange", "stationary")
     tuples = [u0]
     for _ in range(result.iterations + 200):
-        tuples.append(als_sweep(t, tuples[-1]))
+        tuples.append(sweep(t, tuples[-1], "als"))
     limit = np.concatenate(tuples[-1].vectors)
     errors = [np.linalg.norm(np.concatenate(u.vectors) - limit) for u in tuples]
     return t, tuples, errors

@@ -3,8 +3,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from rank1tensor import InvalidInputError
-from rank1tensor.bench import CSV_HEADER, DatasetSpec, generate, run_bench
+from rank1tensor import InvalidInputError, Tensor, bench
+from rank1tensor.bench import CSV_HEADER, KINDS, DatasetSpec, generate, run_bench
 from rank1tensor.solvers import SolverConfig, solve
 
 
@@ -13,9 +13,10 @@ class TestDatasetSpec:
         with pytest.raises(InvalidInputError):
             DatasetSpec(kind="gaussian", dims=(4, 4, 4))
 
-    def test_bits_validated(self):
-        with pytest.raises(InvalidInputError):
-            DatasetSpec(kind="random_uniform", dims=(4, 4, 4), bits=12)
+    def test_raw_volume_files_are_not_a_kind(self):
+        assert KINDS == ("random_uniform", "symmetric_random", "smooth_blob")
+        with pytest.raises(InvalidInputError, match="unknown dataset kind"):
+            DatasetSpec(kind="volume_file", dims=(4, 4, 4))
 
     def test_symmetric_needs_cube(self):
         with pytest.raises(InvalidInputError):
@@ -28,13 +29,6 @@ class TestGenerate:
         assert t.data.min() >= 0.0
         assert t.data.max() <= 255.0
         assert np.all(t.data == np.floor(t.data))
-
-    def test_sixteen_bit_range(self):
-        t = generate(
-            DatasetSpec(kind="random_uniform", dims=(8, 8, 8), seed=1, bits=16)
-        )
-        assert t.data.max() > 255.0  # extremely likely with 512 draws
-        assert t.data.max() <= 65535.0
 
     def test_symmetric_is_exactly_symmetric(self):
         t = generate(DatasetSpec(kind="symmetric_random", dims=(3, 3, 3), seed=2))
@@ -54,29 +48,6 @@ class TestGenerate:
         assert t.data.max() <= 255.0
 
 
-class TestVolumeFiles:
-    def test_round_trip_bit_exact(self, tmp_path):
-        for bits in (8, 16):
-            src = generate(
-                DatasetSpec(kind="random_uniform", dims=(4, 3, 2), seed=5, bits=bits)
-            )
-            path = tmp_path / f"vol{bits}.raw"
-            src.array.astype("<u1" if bits == 8 else "<u2").tofile(path)
-            back = generate(
-                DatasetSpec(
-                    kind="volume_file", dims=(4, 3, 2), bits=bits, path=str(path)
-                )
-            )
-            assert np.array_equal(src.array, back.array)
-
-    def test_size_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "short.raw"
-        path.write_bytes(b"\x01" * 10)
-        spec = DatasetSpec(kind="volume_file", dims=(4, 4, 4), bits=8, path=str(path))
-        with pytest.raises(InvalidInputError):
-            generate(spec)
-
-
 def strip_timing(csv_text):
     lines = csv_text.strip().splitlines()
     return [",".join(line.split(",")[:-1]) for line in lines]
@@ -91,12 +62,11 @@ class TestRunBench:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 20
 
-    def test_planted_rank_one_recovered_exactly(self, tmp_path):
+    def test_planted_rank_one_recovered_exactly(self, monkeypatch):
         arr = np.zeros((4, 4, 4))
         arr[0, 1, 0] = 7.0
-        path = tmp_path / "plant.raw"
-        arr.astype("<u1").tofile(path)
-        spec = DatasetSpec(kind="volume_file", dims=(4, 4, 4), bits=8, path=str(path))
+        monkeypatch.setattr(bench, "generate", lambda spec, seed=None: Tensor(arr))
+        spec = DatasetSpec(kind="random_uniform", dims=(4, 4, 4))
         rows, _ = run_bench([spec], ["als", "asvd", "mals", "masvd"], runs=3)
         for row in rows:
             assert row.rel_error_mean <= 1e-8
@@ -114,11 +84,11 @@ class TestRunBench:
         _, csv_text = run_bench([spec], ["als"], runs=2, out_csv=str(out))
         assert out.read_text(encoding="ascii") == csv_text
 
-    def test_solver_errors_recorded_not_raised(self, tmp_path):
-        # an all-zero volume cannot be decomposed; the row reports the error
-        path = tmp_path / "zero.raw"
-        np.zeros((2, 2, 2)).astype("<u1").tofile(path)
-        spec = DatasetSpec(kind="volume_file", dims=(2, 2, 2), bits=8, path=str(path))
+    def test_solver_errors_recorded_not_raised(self, monkeypatch):
+        # an all-zero tensor cannot be decomposed; the row reports the error
+        zero = lambda spec, seed=None: Tensor(np.zeros((2, 2, 2)))
+        monkeypatch.setattr(bench, "generate", zero)
+        spec = DatasetSpec(kind="random_uniform", dims=(2, 2, 2))
         rows, csv_text = run_bench([spec], ["als"], runs=2)
         assert len(csv_text.strip().splitlines()) == 3
         for record in rows[0].records:

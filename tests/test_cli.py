@@ -197,10 +197,24 @@ class TestVerify:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_level_two_checks_every_pair_at_four_modes(self, tmp_path, capsys):
+        t = random_tensor((4, 3, 3, 2), 21)
+        cfg = SolverConfig(method="asvd", fitchange_tol=1e-12, max_iterations=2000)
+        tensor_path, tuple_path = tmp_path / "t4.txt", tmp_path / "u4.txt"
+        io.write_tensor_text(t, tensor_path)
+        io.write_tuple_text(solve(t, cfg).axes, tuple_path)
+        argv = ["verify", "--input", str(tensor_path), "--tuple", str(tuple_path), "--level", "2"]
+        code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line.split() for line in lines if line.startswith("check ")]
+        assert code == 0
+        assert [c[2] for c in checks] == ["0", "1", "2", "3", "4", "5"]
+        assert all(c[-1] == "pass" for c in checks)
+
     def test_level_two_needs_three_modes(self, tmp_path, capsys):
-        t, axes = planted_rank1((2, 2, 2, 2), 1.0, 2)
-        tensor_path = tmp_path / "t4.txt"
-        tuple_path = tmp_path / "u4.txt"
+        t, axes = planted_rank1((2, 3), 1.0, 2)
+        tensor_path = tmp_path / "t2.txt"
+        tuple_path = tmp_path / "u2.txt"
         io.write_tensor_text(t, tensor_path)
         io.write_tuple_text(axes, tuple_path)
         code = cli.main(
@@ -447,7 +461,7 @@ class TestAmi:
             code = cli.main(["ami", "--input", path, "--basin", str(xi_path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "basin_" not in captured.out
+        assert captured.out == ""  # the start is read before any report line
         assert captured.err.startswith("error: ") and message in captured.err
 
     def test_zero_sweeps_accepted(self, tmp_path, capsys):
@@ -463,10 +477,10 @@ class TestScaleSweep:
     """``decompose``, ``verify`` and ``ami`` on files at scales 10^k (the
     tensor's max|entry|, or H's), with every warning an error. Each run
     exits 0 (``verify`` also 3, a failed check) with finite numbers, or 1
-    with an ``error:`` line; a tensor of norm beyond the float64 range
-    exits 1. Where the entries are normal floats, the report is the
-    unscaled one's: lambda times c, the same verify verdict and the same
-    ami counts."""
+    with an ``error:`` line and no report; a tensor of norm beyond the
+    float64 range exits 1. Where the entries are normal floats, the report
+    is the unscaled one's: lambda times c, the same verify verdict and,
+    where ``ami`` exits 0, the same ami counts."""
 
     write_h = TestAmi.write_h
 
@@ -523,7 +537,9 @@ class TestScaleSweep:
         else:
             assert dec[0] == 0 and ver[0] in (0, 3)
         assert ami[0] in (0, 1)
-        if c * np.min(np.abs(h1[h1 != 0.0])) >= np.finfo(np.float64).tiny:
+        if ami[0] == 1:
+            assert ami[1] == {}  # an input error prints no report
+        elif c * np.min(np.abs(h1[h1 != 0.0])) >= np.finfo(np.float64).tiny:
             keys = ("alpha", "beta", "gamma", "pi", "nu", "zeta", "theorem_holds")
             assert [ami[1][key] for key in keys] == [ami1[1][key] for key in keys]
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +23,9 @@ from rank1tensor.diagnostics import (
     jacobian_check_origin,
     tuple_from_fixed_point,
 )
-from rank1tensor.solvers import SolverConfig, solve
+from rank1tensor.solvers import SolverConfig, default_pair_schedule, solve
+
+import oracles
 
 from conftest import (
     FIXTURE_2X2X2,
@@ -148,9 +152,36 @@ class TestSemiMax:
         assert check_semi_max(t, random_tuple(t.dims, 14), tol=math.inf).passed
 
     def test_level_two_needs_three_modes(self):
-        t = random_tensor((2, 2, 2, 2), 5)
-        with pytest.raises(UnsupportedError):
+        t = random_tensor((2, 3), 5)
+        with pytest.raises(UnsupportedError, match="at least 3 modes"):
             check_semi_max(t, random_tuple(t.dims, 6), level=2)
+
+
+class TestLevelTwoAnyModes:
+    """Level 2 at d >= 4 checks every pair, in the order of
+    ``default_pair_schedule(d)``, against pair matrices formed by explicit
+    summation and their top singular values from the Jacobi oracle."""
+
+    @pytest.mark.parametrize("dims", [(5, 4, 3, 3), (4, 4, 4, 4, 3)], ids=str)
+    def test_margins_match_brute_force_pairs(self, dims):
+        d = len(dims)
+        t = random_tensor(dims, 90)
+        tight = SolverConfig(method="asvd", fitchange_tol=1e-12, max_iterations=2000)
+        pairs = default_pair_schedule(d)
+        assert sorted(pairs) == list(itertools.combinations(range(d), 2))
+        for u, maximal in ((solve(t, tight).axes, True), (random_tuple(dims, 91), False)):
+            report = check_semi_max(t, u, level=2, tol=1e-9)
+            assert report.level == "two_semi" and len(report.checks) == len(pairs)
+            f = oracles.direct_f(t.array, u.vectors)
+            for s, ((i, j), check) in enumerate(zip(pairs, report.checks)):
+                others = [m for m in range(d) if m not in (i, j)]
+                outer = functools.reduce(np.multiply.outer, [u[m] for m in others])
+                mat = oracles.direct_contract(t.array, others, outer)
+                assert check.index == s
+                assert check.margin == pytest.approx(
+                    f - oracles.top_sigma(mat), abs=1e-12 * t.norm()
+                )
+                assert check.passed == maximal
 
 
 class TestScaleRobustness:
@@ -174,17 +205,18 @@ class TestScaleRobustness:
             checks = check_semi_max(t, u, level=1, tol=1e-1).checks
             assert [c.margin for c in checks] == margins
             assert [c.passed for c in checks] == [m >= -slack for m in margins]
-            if t.ndim == 3:
-                f = f_value(t, u)
-                margins = [
-                    f - linalg.top_singular_triple(
-                        kernels.contract_all_but_two(t.array, u.vectors, i, j)
-                    ).sigma
-                    for i, j in [(1, 2), (0, 2), (0, 1)]
-                ]
-                checks = check_semi_max(t, u, level=2, tol=1e-1).checks
-                assert [c.margin for c in checks] == margins
-                assert [c.passed for c in checks] == [m >= -slack for m in margins]
+            # at d = 3, check k is the pair that leaves out mode k
+            pairs = [(1, 2), (0, 2), (0, 1)] if t.ndim == 3 else default_pair_schedule(t.ndim)
+            f = f_value(t, u)
+            margins = [
+                f - linalg.top_singular_triple(
+                    kernels.contract_all_but_two(t.array, u.vectors, i, j)
+                ).sigma
+                for i, j in pairs
+            ]
+            checks = check_semi_max(t, u, level=2, tol=1e-1).checks
+            assert [c.margin for c in checks] == margins
+            assert [c.passed for c in checks] == [m >= -slack for m in margins]
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_finite_scale(self, fixture_3cube, scale):
@@ -388,10 +420,6 @@ class TestScaleSweep:
             close(crit.residual_per_mode, crit1.residual_per_mode)
 
         for level in (1, 2):
-            if level == 2 and t.ndim != 3:
-                with pytest.raises(UnsupportedError):
-                    check_semi_max(t, u, level=level)
-                continue
             margins = [ch.margin for ch in check_semi_max(t, u, level=level).checks]
             assert np.isfinite(margins).all()
             if exact:

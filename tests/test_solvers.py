@@ -10,6 +10,7 @@ import pytest
 from rank1tensor import (
     BreakdownError,
     DegenerateInputError,
+    DimensionError,
     InvalidInputError,
     Tensor,
     UnitTuple,
@@ -24,19 +25,17 @@ from rank1tensor.solvers import (
     SolverConfig,
     _normalized,
     _random_start,
-    als_sweep,
-    asvd_sweep,
     default_pair_schedule,
     init_hosvd,
     init_random,
-    mals_sweep,
-    masvd_sweep,
     solve,
 )
 
 import oracles
 from conftest import (
     FIXTURE_2X2X2,
+    SCALE_EXPONENTS,
+    max_scaled,
     planted_rank1,
     random_tensor,
     random_tuple,
@@ -68,7 +67,7 @@ class TestInitRandom:
 
     def test_zero_objective_exhausts_retries(self):
         with pytest.raises(DegenerateInputError):
-            _random_start((2, 2, 2), 0, Tensor(np.zeros((2, 2, 2))))
+            _random_start(np.zeros((2, 2, 2)), 0)
 
 
 def reference_start(dims, seed):
@@ -90,7 +89,7 @@ class TestStartStream:
     def test_starts_equal_reference_bit_for_bit(self, dims, seed):
         expected = reference_start(dims, seed)
         t = random_tensor(dims, 1)
-        vecs, f = _random_start(dims, seed, t)
+        vecs, f = _random_start(t.array, seed)
         starts = [vecs, init_random(dims, seed=seed).vectors]
         for start in starts:
             assert len(start) == len(dims)
@@ -169,17 +168,51 @@ class TestInitHosvd:
             assert min(np.linalg.norm(x - dense.u), np.linalg.norm(x + dense.u)) <= 1e-10
 
 
+class TestSweep:
+    """``sweep`` reads T through the scale gate, as ``solve`` does."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    def test_scaled_tensor_gives_the_unscaled_sweep(self, method, k):
+        # max|entry| = 10^k: the unit vectors of the sweep of T1, to
+        # rounding, where c T1 holds normal floats; unit vectors otherwise;
+        # InvalidInputError where |c T1| exceeds the float64 range
+        t1, t, exact = max_scaled((3, 4, 5), 31, k)
+        u = random_tuple(t.dims, 32)
+        if not np.isfinite(10.0**k * t1.norm()):
+            with pytest.raises(InvalidInputError, match="float64 range"):
+                solvers.sweep(t, u, method)
+            return
+        got = solvers.sweep(t, u, method)
+        assert all(abs(np.linalg.norm(v) - 1.0) <= 1e-12 for v in got)
+        if exact:
+            want = solvers.sweep(t1, u, method)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", solvers.METHODS)
+    def test_tuple_of_other_dims_is_dimension_error(self, method):
+        t = random_tensor((3, 4, 5), 33)
+        with pytest.raises(DimensionError, match="do not match"):
+            solvers.sweep(t, random_tuple((3, 4, 6), 34), method)
+
+    def test_unknown_method_is_input_error(self):
+        t = random_tensor((3, 4, 5), 35)
+        with pytest.raises(InvalidInputError, match="unknown method"):
+            solvers.sweep(t, random_tuple(t.dims, 36), "power")
+
+
 class TestAlsSweep:
     def test_rank_one_fixed_point(self):
         t, axes = planted_rank1((3, 3, 3), 4.0, 2)
-        after = als_sweep(t, axes)
+        after = solvers.sweep(t, axes, "als")
         assert tuple_matches(after, axes, 1e-12)
         assert f_value(t, after) == pytest.approx(f_value(t, axes), rel=1e-12)
 
     def test_matrix_sweep_is_one_power_step(self):
         a = random_tensor((4, 4), 3)
         u = random_tuple((4, 4), 4)
-        after = als_sweep(a, u)
+        after = solvers.sweep(a, u, "als")
         x_expected = a.array @ u[1]
         x_expected /= np.linalg.norm(x_expected)
         y_expected = a.array.T @ x_expected
@@ -190,7 +223,7 @@ class TestAlsSweep:
     def test_frozen_fixture_matches_reference(self):
         t = Tensor(np.array(FIXTURE_2X2X2).reshape(2, 2, 2))
         u = random_tuple((2, 2, 2), 5)
-        after = als_sweep(t, u)
+        after = solvers.sweep(t, u, "als")
         ref = oracles.reference_als_sweep(t.array, u.vectors)
         assert tuple_matches(after, UnitTuple(ref), 1e-12)
         assert f_value(t, after) == pytest.approx(
@@ -201,15 +234,15 @@ class TestAlsSweep:
         e0 = np.array([1.0, 0.0])
         e1 = np.array([0.0, 1.0])
         t = rank1_tensor(1.0, UnitTuple([e0, e0, e0]))
-        for sweep in (als_sweep, mals_sweep, asvd_sweep, masvd_sweep):
+        for method in solvers.METHODS:
             with pytest.raises(BreakdownError, match="contraction collapsed to zero"):
-                sweep(t, UnitTuple([e1, e1, e1]))
+                solvers.sweep(t, UnitTuple([e1, e1, e1]), method)
 
 
 class TestAsvdSweep:
     def test_rank_one_invariant(self):
         t, axes = planted_rank1((3, 3, 3), 2.0, 6)
-        after = asvd_sweep(t, axes)
+        after = solvers.sweep(t, axes, "asvd")
         assert f_value(t, after) == pytest.approx(t.norm(), rel=1e-12)
 
     def test_pair_step_reaches_top_singular_value(self, fixture_3cube):
@@ -224,7 +257,7 @@ class TestAsvdSweep:
 
     def test_needs_three_modes(self):
         with pytest.raises(UnsupportedError):
-            asvd_sweep(random_tensor((3, 3), 8), random_tuple((3, 3), 8))
+            solvers.sweep(random_tensor((3, 3), 8), random_tuple((3, 3), 8), "asvd")
 
     def test_pair_dominates_single_mode_steps(self):
         # one pair update gains at least what either single-mode update gains
@@ -318,14 +351,14 @@ class TestMalsSweep:
     def test_sweep_does_not_decrease_objective(self, fixture_3cube):
         t = fixture_3cube
         u = random_tuple((3, 3, 3), 12)
-        after = mals_sweep(t, u)
+        after = solvers.sweep(t, u, "mals")
         assert f_value(t, after) >= f_value(t, u) - 1e-12 * t.norm()
 
 
 class TestMasvdSweep:
     def test_rank_one_invariant(self):
         t, axes = planted_rank1((3, 3, 3), 5.0, 13)
-        after = masvd_sweep(t, axes)
+        after = solvers.sweep(t, axes, "masvd")
         assert f_value(t, after) == pytest.approx(t.norm(), rel=1e-12)
 
     def test_exact_ties_break_to_lowest_mode(self):
@@ -376,7 +409,7 @@ class TestMasvdSweep:
     def test_only_three_modes_supported(self):
         t = random_tensor((2, 2, 2, 2), 16)
         with pytest.raises(UnsupportedError):
-            masvd_sweep(t, random_tuple(t.dims, 17))
+            solvers.sweep(t, random_tuple(t.dims, 17), "masvd")
         with pytest.raises(UnsupportedError):
             solve(t, SolverConfig(method="masvd"))
 
@@ -457,8 +490,8 @@ class TestMasvdCarry:
         t = random_tensor((5, 6, 4), 152)
         u = random_tuple(t.dims, 153)
         calls = self.pair_steps(monkeypatch)
-        once = masvd_sweep(t, u)
-        twice = masvd_sweep(t, once)
+        once = solvers.sweep(t, u, "masvd")
+        twice = solvers.sweep(t, once, "masvd")
         assert len(calls) == 12
         vecs = list(u.vectors)
         reference_masvd_sweep(t.array, vecs)

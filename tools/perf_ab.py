@@ -36,8 +36,9 @@ with the package of that side's tree: the best-of-N microseconds of one
 asvd sweep, one masvd sweep, one step of the solver's Newton finish,
 and a 10-sweep masvd solve from a fixed random
 start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
-starts with nothing to carry over; the solve shows what a masvd sweep
-reuses from the one before it. The same rows time the kernel layer:
+is one ``solvers.sweep``: it includes the scale gate's sum-of-squares pass
+over the tensor, and starts with nothing to carry over; the solve shows
+what a masvd sweep reuses from the one before it. The same rows time the kernel layer:
 ``contract_all_but_one`` on the first and the last mode and
 ``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4, and
 ``contract_partial`` of one and of two modes out of a kept intermediate at
@@ -346,11 +347,20 @@ def _timed_row(dims, step, call, repeats, seconds):
     }
 
 
+def _sweep(solvers):
+    """``solvers.sweep(t, u, method)``; for a tree from before it, the
+    call of that tree's per-method ``<method>_sweep(t, u)``."""
+    if hasattr(solvers, "sweep"):
+        return solvers.sweep
+    return lambda t, u, method: getattr(solvers, f"{method}_sweep")(t, u)
+
+
 def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     """Rows of best-of-N µs per call of the update steps of the importable
     ``rank1tensor``, at the tuple of an asvd solve to a fit change of 1e-6
-    of a Gaussian tensor of each shape in STEP_DIMS: ``asvd_sweep``,
-    ``masvd_sweep`` and ``newton_step``."""
+    of a Gaussian tensor of each shape in STEP_DIMS: ``asvd_sweep`` and
+    ``masvd_sweep``, one ``solvers.sweep`` of that method, and
+    ``newton_step``."""
     import numpy as np
     from rank1tensor import SolverConfig, Tensor, kernels, solve, solvers
 
@@ -362,9 +372,10 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
         vecs = list(u.vectors)
         contractions = kernels.all_contractions(t.array, vecs)
         f, _ = solvers._f_and_stationarity(vecs, contractions)
+        sweep = _sweep(solvers)
         calls = {
-            "asvd_sweep": lambda: solvers.asvd_sweep(t, u),
-            "masvd_sweep": lambda: solvers.masvd_sweep(t, u),
+            "asvd_sweep": lambda: sweep(t, u, "asvd"),
+            "masvd_sweep": lambda: sweep(t, u, "masvd"),
             "newton_step": lambda: solvers._newton_step(t.array, vecs, contractions, f),
         }
         rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
@@ -431,7 +442,8 @@ def large_step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     """Rows of best-of-N µs per call, with CPU over wall time, of the steps
     in LARGE_STEPS of the importable ``rank1tensor``, at the tuple of a
     3-sweep asvd solve of a Gaussian tensor of each shape: a lone
-    ``mals_sweep`` or ``asvd_sweep`` from that tuple, and
+    ``mals_sweep`` or ``asvd_sweep`` from that tuple (``solvers.sweep`` of
+    that method), and
     ``linalg.top_singular_triple`` of the (1, 2) pair matrix there."""
     import numpy as np
     from rank1tensor import SolverConfig, Tensor, kernels, linalg, solve, solvers
@@ -446,7 +458,8 @@ def large_step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
             call = lambda mat=mat: linalg.top_singular_triple(mat)
             dims = mat.shape
         else:
-            call = lambda sweep=getattr(solvers, step), t=t, u=u: sweep(t, u)
+            method = step.removesuffix("_sweep")
+            call = lambda sweep=_sweep(solvers), t=t, u=u, m=method: sweep(t, u, m)
         rows.append(_timed_row(dims, step, call, repeats, seconds))
     return rows
 
