@@ -15,8 +15,9 @@ the origin.
 ``criticality`` and ``check_semi_max`` read T through ``core.read_scaled``,
 as ``solve`` does, and report multipliers, residuals and margins in the
 units of T. The level-2 check visits the pairs of
-``solvers.default_pair_schedule``, the order asvd takes them in. The fixed-point tools raise :class:`InvalidInputError` on a
-point or step whose result is not a float.
+``solvers.default_pair_schedule``, the order asvd takes them in. The
+fixed-point tools raise :class:`InvalidInputError` on a point or step whose
+result is not a float.
 """
 
 import math

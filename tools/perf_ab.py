@@ -38,8 +38,8 @@ and a 10-sweep masvd solve from a fixed random
 start, at 8^3 and 32^3 (``update_steps`` in the output). A lone sweep
 is one ``solvers.sweep``: it includes the scale gate's sum-of-squares pass
 over the tensor, and starts with nothing to carry over; the solve shows
-what a masvd sweep reuses from the one before it. The same rows time the kernel layer:
-``contract_all_but_one`` on the first and the last mode and
+what a masvd sweep reuses from the one before it. The same rows time the
+kernel layer: ``contract_all_but_one`` on the first and the last mode and
 ``contract_all_but_two(1, 2)`` at 64^3, 128^3 and 32^4, and
 ``contract_partial`` of one and of two modes out of a kept intermediate at
 128^3 and 32^4; and the large
