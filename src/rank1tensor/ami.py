@@ -4,7 +4,7 @@ For f(xi) = -xi^T H xi with H symmetric and partitioned into d x d blocks,
 maximizing block by block (each other block frozen) is the block
 Gauss-Seidel iteration xi_k = K xi_{k-1} with K = -L_H^{-1} U_H, where L_H
 is the block lower triangular part of H including the diagonal blocks and
-U_H the strict block upper part.
+U_H the strict block upper part; K is one sweep of the identity's columns.
 
 When every diagonal block is positive definite (the origin is then maximal
 in each block separately), the unit-disc eigenvalue counts of K match the
@@ -14,8 +14,10 @@ space of H), and the number of positive eigenvalues is at least the largest
 block size. Ostrowski's theorem appears as the special case: the iteration
 contracts from every start iff H is positive definite.
 
-H must be finite. ``hessian_form_at`` reads T through ``core.read_scaled``,
-as the solvers and diagnostics do.
+H must be finite. Every function here takes H through one scale gate: the
+power of two that brings max|H| into [1/2, 1), exact, so H and 2^j H give
+the same bits. ``hessian_form_at`` reads T through ``core.read_scaled``, as
+the solvers and diagnostics do.
 """
 
 import math
@@ -139,22 +141,17 @@ def _blocks_definite(spectra):
     return all(linalg._sign_counts(w, scale).positive == w.size for w, scale in spectra)
 
 
-def _iteration_matrix(q):
-    # K of H scaled by the power of two that brings max|H| into [1/2, 1):
-    # exact, so K keeps its bits, and a subnormal H does not underflow
-    h = np.ldexp(q.h, -math.frexp(float(np.max(np.abs(q.h))))[1])
-    block_id = np.repeat(np.arange(q.nblocks), q.block_sizes)
-    lower_mask = block_id[:, None] >= block_id[None, :]
-    l_h = np.where(lower_mask, h, 0.0)
-    u_h = h - l_h
-    return np.linalg.solve(l_h, -u_h)
+def _scaled(q):
+    # (H / 2^e, e), the module docstring's scale gate; it lifts a subnormal H
+    e = math.frexp(float(np.max(np.abs(q.h))))[1]
+    return np.ldexp(q.h, -e), e
 
 
 def gauss_seidel_matrix(q):
-    """The iteration matrix K = -L_H^{-1} U_H; requires invertible diagonal
-    blocks. One multiplication by K equals one :func:`ami_sweep`."""
+    """The iteration matrix K = -L_H^{-1} U_H, one :func:`ami_sweep` of each
+    column of the identity; requires invertible diagonal blocks."""
     _check_diagonal_blocks(_block_spectra(q))
-    return _iteration_matrix(q)
+    return _sweep(q, _scaled(q)[0], np.eye(q.order))
 
 
 def _checked_vector(q, xi):
@@ -164,19 +161,15 @@ def _checked_vector(q, xi):
     return xi
 
 
-def _sweep(q, xi):
-    # ami_sweep without its checks
-    new = xi.copy()
+def _sweep(q, h, x):
+    # ami_sweep without its checks, on h from _scaled, of a vector or each column
+    x = x.copy()
     for j in range(q.nblocks):
         rows = q.block_slice(j)
-        start, stop = rows.start, rows.stop
-        rhs = np.zeros(stop - start)
-        if start > 0:
-            rhs -= q.h[rows, :start] @ new[:start]
-        if stop < q.order:
-            rhs -= q.h[rows, stop:] @ xi[stop:]
-        new[rows] = np.linalg.solve(q.block(j, j), rhs)
-    return new
+        before, after = slice(rows.start), slice(rows.stop, None)
+        rhs = h[rows, before] @ x[before] + h[rows, after] @ x[after]
+        x[rows] = np.linalg.solve(h[rows, rows], -rhs)
+    return x
 
 
 def ami_sweep(q, xi):
@@ -184,7 +177,7 @@ def ami_sweep(q, xi):
     updated blocks below and the previous iterate above, for j = 1..d."""
     xi = _checked_vector(q, xi)
     _check_diagonal_blocks(_block_spectra(q))
-    return _sweep(q, xi)
+    return _sweep(q, _scaled(q)[0], xi)
 
 
 def analyze(q):
@@ -198,7 +191,8 @@ def analyze(q):
     """
     spectra = _block_spectra(q)
     _check_diagonal_blocks(spectra)
-    k = _iteration_matrix(q)
+    h, _ = _scaled(q)
+    k = _sweep(q, h, np.eye(q.order))
     eigenvalues, eigenvectors = np.linalg.eig(k)
 
     # |K|_F bounds |K|_2 from above and costs no SVD
@@ -218,7 +212,7 @@ def analyze(q):
     beta = len(eigenvalues) - alpha - gamma
 
     # BlockQuadraticForm has checked H's symmetry
-    counts = linalg._sign_counts(np.linalg.eigvalsh(q.h), float(np.max(np.abs(q.h))))
+    counts = linalg._sign_counts(np.linalg.eigvalsh(h), float(np.max(np.abs(h))))
     definite_diag = _blocks_definite(spectra)
     theorem_holds = (
         (alpha, beta, gamma) == tuple(counts) if definite_diag else None
@@ -259,9 +253,11 @@ def basin_experiment(q, xi0, sweeps):
     if sweeps < 0:
         raise InvalidInputError("sweeps must be >= 0")
     xi = _checked_vector(q, xi0)
+    h, e = _scaled(q)
     _, scale, sq = split_scale(xi)
+    # f in H's units, infinite where it overflows there
     with np.errstate(over="ignore", invalid="ignore"):
-        norms, f_values = [scale * math.sqrt(sq)], [q.f(xi)]
+        norms, f_values = [scale * math.sqrt(sq)], [float(np.ldexp(-(xi @ h @ xi), e))]
     if not (math.isfinite(norms[0]) and math.isfinite(f_values[0])):
         raise InvalidInputError("the start's norm or objective exceeds the float64 range")
     if sweeps:
@@ -269,8 +265,8 @@ def basin_experiment(q, xi0, sweeps):
     converged = norms[0] <= BASIN_ZERO_NORM
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(sweeps):
-            xi = _sweep(q, xi)
-            norm, f = float(np.linalg.norm(xi)), q.f(xi)
+            xi = _sweep(q, h, xi)
+            norm, f = float(np.linalg.norm(xi)), float(np.ldexp(-(xi @ h @ xi), e))
             if not (math.isfinite(norm) and math.isfinite(f)):
                 break
             norms.append(norm)

@@ -13,6 +13,7 @@ use them, so ``decompose`` does not pay for their import.
 """
 
 import argparse
+import contextlib
 import sys
 
 from . import io
@@ -72,18 +73,11 @@ def cmd_decompose(args):
         init=args.init,
         seed=args.seed,
     )
-    result = solve(tensor, cfg)
-    print(f"lambda {_fmt(result.lambda_)}")
-    print(f"fit {_fmt(result.fit)}")
-    print(f"rel_error {_fmt(result.residual / tensor.norm())}")
-    print(f"iterations {result.iterations}")
-    print(f"opt_calls {result.optimization_calls}")
-    print(f"converged_by {result.converged_by}")
-    if result.stationarity is not None:
-        print(f"stationarity {_fmt(result.stationarity)}")
-    if args.trace:
-        trace = result.trace
-        with open(args.trace, "w", encoding="ascii") as fh:
+    # opened before the solve, so that a bad path exits 1 before any work or output
+    with open(args.trace, "w", encoding="ascii") if args.trace else contextlib.nullcontext() as fh:
+        result = solve(tensor, cfg)
+        if fh is not None:
+            trace = result.trace
             fh.write("iteration,substep,modes,chosen,f_after,opt_calls\n")
             start = 0
             for k, end in enumerate(trace.sweep_ends):
@@ -95,6 +89,14 @@ def cmd_decompose(args):
                         f"{trace.f_after[s]:.17g},{trace.opt_calls[k]}\n"
                     )
                 start = end
+    print(f"lambda {_fmt(result.lambda_)}")
+    print(f"fit {_fmt(result.fit)}")
+    print(f"rel_error {_fmt(result.residual / tensor.norm())}")
+    print(f"iterations {result.iterations}")
+    print(f"opt_calls {result.optimization_calls}")
+    print(f"converged_by {result.converged_by}")
+    if result.stationarity is not None:
+        print(f"stationarity {_fmt(result.stationarity)}")
     return EXIT_OK
 
 
@@ -106,13 +108,13 @@ def cmd_verify(args):
     if adjusted:
         print("warning: tuple vectors were not unit length; normalized", file=sys.stderr)
 
+    # both checks run before the first line, so one that raises prints nothing
     crit = diagnostics.criticality(tensor, axes)
+    report = diagnostics.check_semi_max(tensor, axes, level=args.level, tol=args.tol)
     print("lambda_per_mode " + " ".join(_fmt(x) for x in crit.lambda_per_mode))
     print("residual_per_mode " + " ".join(_fmt(x) for x in crit.residual_per_mode))
     print(f"max_residual {_fmt(crit.max_residual)}")
     print(f"lambda_spread {_fmt(crit.lambda_spread)}")
-
-    report = diagnostics.check_semi_max(tensor, axes, level=args.level, tol=args.tol)
     print(f"semi_max_level {report.level}")
     for check in report.checks:
         print(
@@ -135,7 +137,9 @@ def cmd_bench(args):
         for kind in kinds
         for n in args.sizes
     ]
-    rows, _ = bench_mod.run_bench(specs, methods, runs=args.runs, out_csv=args.out)
+    with open(args.out, "w", encoding="ascii") as fh:
+        rows, csv_text = bench_mod.run_bench(specs, methods, runs=args.runs)
+        fh.write(csv_text)
     print(
         f"{'method':>7} {'dataset':>16} {'dims':>10} {'runs':>4} "
         f"{'wall_mean':>10} {'calls':>7} {'lambda':>12} {'rel_err':>9}"

@@ -307,6 +307,44 @@ class TestBasinChecksOnce:
         assert trajectory.f_values == [-3.0]
 
 
+class TestScaleGate:
+    """Every ami result on cH, c = 10^k, equals the one on its exact
+    power-of-two rescaling, subnormal and near-overflowing entries
+    included: the basin's objective is the same number in H's units, and
+    its trajectory is the same up to a sweep whose objective overflows in
+    those units."""
+
+    @pytest.mark.parametrize("order", [12, 48, 96])
+    def test_scaled_form_gives_the_rescaled_results(self, order):
+        form, xi0 = perfbench_form(1, order)
+        overflowed = 0
+        for k in range(-320, 301, 7):
+            scaled = BlockQuadraticForm(form.h * 10.0**k, form.block_sizes)
+            e = np.frexp(np.max(np.abs(scaled.h)))[1]
+            rescaled = BlockQuadraticForm(np.ldexp(scaled.h, -e), form.block_sizes)
+            assert np.array_equal(ami_sweep(scaled, xi0), ami_sweep(rescaled, xi0)), k
+            k_matrix = gauss_seidel_matrix(rescaled)
+            assert np.array_equal(gauss_seidel_matrix(scaled), k_matrix), k
+            got, want = analyze(scaled), analyze(rescaled)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues), k
+            assert (got.alpha, got.beta, got.gamma) == (want.alpha, want.beta, want.gamma), k
+            assert got.inertia == want.inertia and got.theorem_holds is want.theorem_holds, k
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = basin_experiment(scaled, xi0, 40), basin_experiment(rescaled, xi0, 40)
+            n = len(got.norms)
+            assert got.norms == want.norms[:n], k
+            assert got.f_values == [float(np.ldexp(f, e)) for f in want.f_values[:n]], k
+            if n < len(want.norms):
+                overflowed += 1
+                with np.errstate(over="ignore"):
+                    assert np.isinf(np.ldexp(want.f_values[n], e)), k
+        # near the top of the range, the diverging trajectory's objective
+        # overflows in H's units, and that ends it
+        assert overflowed > 0
+
+
 class TestHessianFormBridge:
     def test_converged_solution_gives_definite_diagonal_blocks(self):
         t = Tensor(np.random.default_rng(11).standard_normal((3, 3, 3)))

@@ -10,8 +10,9 @@ import rank1tensor.cli as cli
 from rank1tensor import BreakdownError, SolverConfig, Tensor, UnitTuple, io, solve
 from rank1tensor.ami import hessian_form_at
 from rank1tensor.bench import CSV_HEADER
+from rank1tensor.solvers import METHODS
 
-from conftest import SCALE_EXPONENTS, max_scaled, planted_rank1, random_tensor
+from conftest import SCALE_EXPONENTS, max_scaled, planted_rank1, random_tensor, random_tuple
 
 
 @pytest.fixture
@@ -582,6 +583,106 @@ class TestBadInputFiles:
         argv = ["verify", "--input", paths["input"], "--tuple", paths["tuple"]]
         err = self.run(argv, capsys)
         assert "line 4" in err and "0x85" in err
+
+
+class TestInputSweep:
+    """Every subcommand over tensors of 1 to 4 modes and malformed files,
+    with every warning an error. Each run ends in a documented exit code
+    (0 to 3), never in a raw exception, and a run that exits 1 prints one
+    ``error:`` line and no report, and writes nothing to its output file.
+    An output path in a missing directory exits 1 before any work."""
+
+    write_h = TestAmi.write_h
+
+    def run(self, argv, capsys, output=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        if code == 1:
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
+            if output is not None and os.path.exists(output):
+                assert os.path.getsize(output) == 0, argv
+        return code
+
+    @staticmethod
+    def variants(tmp_path, name, text):
+        """The file ``name`` holding ``text``, its copy with the last entry
+        cut off, and its copy with a non-ASCII byte in the last entry."""
+        paths = [tmp_path / f"{name}{tag}.txt" for tag in ("", "_cut", "_byte")]
+        body, _, last = text.rstrip("\n").rpartition(" ")
+        paths[0].write_text(text, encoding="ascii")
+        paths[1].write_text(body + "\n", encoding="ascii")
+        paths[2].write_bytes(f"{body} {last}".encode() + b"\xe9\n")
+        return paths
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_tensor_files(self, d, tmp_path, capsys):
+        dims = (3, 2, 2, 2)[:d]
+        tensors = self.variants(tmp_path, "t", io.format_tensor_text(random_tensor(dims, d)))
+        tuples = [tmp_path / "u.txt", tmp_path / "u_dims.txt"]
+        io.write_tuple_text(random_tuple(dims, d), tuples[0])
+        io.write_tuple_text(random_tuple([m + 1 for m in dims], d), tuples[1])
+        for i, tensor in enumerate(tensors):
+            for method in METHODS:
+                trace = tmp_path / f"trace_{method}_{i}.csv"
+                argv = ["decompose", "--input", tensor, "--method", method, "--trace", trace]
+                self.run(argv, capsys, trace)
+            for level in ("1", "2"):
+                for tuple_path in tuples:
+                    argv = ["verify", "--input", tensor, "--tuple", tuple_path, "--level", level]
+                    code = self.run(argv, capsys)
+                    if d < 3 and level == "2":
+                        assert code == 1  # pair schedules need three modes
+        missing = tmp_path / "missing" / "t.csv"
+        assert self.run(["decompose", "--input", tensors[0], "--trace", missing], capsys) == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_files(self, d, tmp_path, capsys):
+        sizes = (3, 2, 2, 2)[:d]
+        n = sum(sizes)
+        g = np.random.default_rng(d).standard_normal((n, n))
+        good = self.write_h(tmp_path, g + g.T + 2.0 * n * np.eye(n), sizes)
+        lines = open(good, encoding="ascii").read().splitlines()
+        lines[1] = " ".join(str(m) for m in (*sizes[:-1], sizes[-1] + 1))
+        (tmp_path / "sizes.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+        cut, byte = self.variants(tmp_path, "form", open(good, encoding="ascii").read())[1:]
+        for form in (good, tmp_path / "sizes.txt", cut, byte):
+            self.run(["ami", "--input", form], capsys)
+        for length in (n - 1, n, n + 1):
+            start = tmp_path / f"xi{length}.txt"
+            start.write_text(" ".join(["0.5"] * length) + "\n", encoding="ascii")
+            code = self.run(["ami", "--input", good, "--basin", start, "--sweeps", "5"], capsys)
+            assert code == (0 if length == n else 1)
+
+    def test_bench_output(self, tmp_path, capsys):
+        argv = ["bench", "--sizes", "2", "--runs", "1", "--methods", "als"]
+        out = tmp_path / "b.csv"
+        assert self.run([*argv, "--out", out], capsys) == 0
+        assert out.read_text(encoding="ascii").startswith(CSV_HEADER)
+        for extra in (["--runs", "0"], ["--datasets", "bogus"], ["--sizes", "0"]):
+            out = tmp_path / f"bad{extra[-1]}.csv"
+            assert self.run([*argv, *extra, "--out", out], capsys, out) == 1
+
+    @pytest.mark.parametrize("command", ["decompose", "bench"])
+    def test_unwritable_output_fails_before_the_work(
+        self, command, plant_files, tmp_path, capsys, monkeypatch
+    ):
+        from rank1tensor import bench
+
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before the output file was opened")
+
+        monkeypatch.setattr(cli, "solve", work)
+        monkeypatch.setattr(bench, "run_bench", work)
+        missing = tmp_path / "missing" / "out.csv"
+        argv = {
+            "decompose": ["decompose", "--input", plant_files[2], "--trace", missing],
+            "bench": ["bench", "--sizes", "2", "--runs", "1", "--out", missing],
+        }[command]
+        assert self.run(argv, capsys) == 1
 
 
 def imported_modules(args):

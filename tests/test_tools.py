@@ -180,6 +180,22 @@ def test_update_steps_take_the_sweeps_and_the_masvd_solve(monkeypatch):
     ]
 
 
+def test_ami_timings_cover_the_orders_and_calls():
+    rows = perf_ab.ami_timings(repeats=1, seconds=0.0)
+    assert [(r["dims"], r["step"]) for r in rows] == [
+        (f"{order}x{order}", step)
+        for order in (12, 48, 96)
+        for step in ("analyze", "gauss_seidel_matrix", "basin_experiment")
+    ]
+    assert all(r["us_per_call"] > 0.0 and r["cpu_over_wall"] > 0.0 for r in rows)
+
+
+def test_layer_rows_add_the_ami_rows(monkeypatch):
+    monkeypatch.setattr(perf_ab, "update_step_rows", lambda: [{"step": "asvd_sweep"}])
+    monkeypatch.setattr(perf_ab, "ami_timings", lambda: [{"step": "analyze"}])
+    assert perf_ab.layer_rows() == [{"step": "asvd_sweep"}, {"step": "analyze"}]
+
+
 def test_large_step_timings_cover_the_sweeps_and_pair_steps():
     rows = perf_ab.large_step_timings(repeats=1, seconds=0.0)
     assert [(r["dims"], r["step"]) for r in rows] == [

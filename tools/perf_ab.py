@@ -44,7 +44,10 @@ kernel layer: ``contract_all_but_one`` on the first and the last mode and
 ``contract_partial`` of one and of two modes out of a kept intermediate at
 128^3 and 32^4; and the large
 steps: a lone mals sweep at 128^3 and 32^4, a lone asvd sweep at 32^4 and
-``top_singular_triple`` of 64x64 and 128x128 pair matrices. Each row also
+``top_singular_triple`` of 64x64 and 128x128 pair matrices; and the ami
+layer: ``analyze``, ``gauss_seidel_matrix`` and a 100-sweep
+``basin_experiment`` on coupled block forms of order 12, 48 and 96, built
+the way perfbench's analysis workload builds its forms. Each row also
 gives the CPU time over wall time of its best batch.
 The sides take STEP_ROUNDS turns each, alternating which goes first, and
 each keeps its best.
@@ -114,6 +117,10 @@ READ_CELLS = (
     ((8, 8, 8, 8, 8), ("als", "asvd", "mals")),
 )
 READ_SWEEPS = 3
+#: orders of the block forms at which the ami layer is timed, and the
+#: sweeps of its basin trajectory
+AMI_ORDERS = (12, 48, 96)
+BASIN_SWEEPS = 100
 
 
 def parse_seeds(text):
@@ -470,6 +477,50 @@ def update_step_rows():
     return step_timings() + masvd_solve_timings() + kernel_timings() + large_step_timings()
 
 
+def ami_form(order, nblocks=3):
+    """A coupled indefinite block form of ``order`` with definite diagonal
+    blocks, and a start, built the way perfbench's analysis workload
+    builds its forms."""
+    import numpy as np
+    from rank1tensor import ami
+
+    rng = np.random.default_rng([1, order])
+    m = order // nblocks
+    coupling = rng.standard_normal((order, order))
+    h = 1.5 * (coupling + coupling.T) / np.sqrt(2.0 * order)
+    for j in range(nblocks):
+        g = rng.standard_normal((m, m))
+        block = slice(j * m, (j + 1) * m)
+        h[block, block] = g @ g.T / m + (0.5 + rng.random()) * np.eye(m)
+    return ami.BlockQuadraticForm(h, (m,) * nblocks), rng.standard_normal(order)
+
+
+def ami_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
+    """Rows of best-of-N µs per call, with CPU over wall time, of
+    ``ami.analyze``, ``ami.gauss_seidel_matrix`` and a BASIN_SWEEPS-sweep
+    ``ami.basin_experiment`` of the importable ``rank1tensor``, on the form
+    of :func:`ami_form` of each order in AMI_ORDERS."""
+    from rank1tensor import ami
+
+    rows = []
+    for order in AMI_ORDERS:
+        q, xi0 = ami_form(order)
+        calls = {
+            "analyze": lambda: ami.analyze(q),
+            "gauss_seidel_matrix": lambda: ami.gauss_seidel_matrix(q),
+            "basin_experiment": lambda: ami.basin_experiment(q, xi0, BASIN_SWEEPS),
+        }
+        rows.extend(
+            _timed_row((order, order), step, call, repeats, seconds) for step, call in calls.items()
+        )
+    return rows
+
+
+def layer_rows():
+    """The rows of :func:`update_step_rows` and :func:`ami_timings`."""
+    return update_step_rows() + ami_timings()
+
+
 def tensor_reads(sweeps=READ_SWEEPS):
     """Per method and shape of READ_CELLS, the reductions of the importable
     ``rank1tensor`` that read the whole tensor, in each of ``sweeps`` sweeps
@@ -655,8 +706,10 @@ def main(argv=None):
                 "contract_all_but_one (first and last mode) and contract_all_but_two(1, 2) "
                 "on Gaussian tensors, and of a lone mals or asvd sweep and "
                 "top_singular_triple of the (1, 2) pair matrix at the tuple of a 3-sweep "
-                "asvd solve of larger Gaussian tensors; cpu_over_wall is that of the "
-                "best batch"
+                "asvd solve of larger Gaussian tensors, and of ami.analyze, "
+                f"ami.gauss_seidel_matrix and a {BASIN_SWEEPS}-sweep ami.basin_experiment "
+                f"on block forms of order {', '.join(map(str, AMI_ORDERS))}; cpu_over_wall "
+                "is that of the best batch"
             ),
         },
         "tight_solves": {
@@ -693,7 +746,7 @@ def main(argv=None):
             result[side] = materialize(rev, trees[side])
         for turn in range(STEP_ROUNDS):
             for side in ("parent", "change") if turn % 2 == 0 else ("change", "parent"):
-                rows = in_child(trees[side], "update_step_rows")
+                rows = in_child(trees[side], "layer_rows")
                 best = result["update_steps"].setdefault(side, rows)
                 for kept, row in zip(best, rows):
                     if row["us_per_call"] < kept["us_per_call"]:
