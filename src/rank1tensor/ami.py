@@ -14,10 +14,9 @@ space of H), and the number of positive eigenvalues is at least the largest
 block size. Ostrowski's theorem appears as the special case: the iteration
 contracts from every start iff H is positive definite.
 
-H must be finite. Every function here takes H through one scale gate: the
-power of two that brings max|H| into [1/2, 1), exact, so H and 2^j H give
-the same bits. ``hessian_form_at`` reads T through ``core.read_scaled``, as
-the solvers and diagnostics do.
+H must be finite, and every function here takes it through one scale gate:
+the exact power of two that brings max|H| into [1/2, 1), so H and 2^j H give
+the same bits. ``hessian_form_at`` reads T through ``core.read_scaled``.
 """
 
 import math
@@ -166,8 +165,9 @@ def _sweep(q, h, x):
     x = x.copy()
     for j in range(q.nblocks):
         rows = q.block_slice(j)
-        before, after = slice(rows.start), slice(rows.stop, None)
-        rhs = h[rows, before] @ x[before] + h[rows, after] @ x[after]
+        rhs = h[rows, rows.stop :] @ x[rows.stop :]
+        if rows.start:
+            rhs += h[rows, : rows.start] @ x[: rows.start]
         x[rows] = np.linalg.solve(h[rows, rows], -rhs)
     return x
 
