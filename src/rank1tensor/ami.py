@@ -161,7 +161,7 @@ def _checked_vector(q, xi):
 
 
 def _sweep(q, h, x):
-    # ami_sweep without its checks, on h from _scaled, of a vector or each column
+    # ami_sweep without its checks, on h from _scaled, of a vector or of each matrix column
     x = x.copy()
     for j in range(q.nblocks):
         rows = q.block_slice(j)

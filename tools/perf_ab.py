@@ -776,6 +776,7 @@ def main(argv=None):
                     entry["summary"] = summarize(entry["runs"], better)
                     save()
                 entry["seeds"].append(seed)
+                save()
             line = rss_line(workload, entry.get("summary", {}))
             if line:
                 print(line, file=sys.stderr)
