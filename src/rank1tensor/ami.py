@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .core import f_from_arrays, read_scaled, split_scale, tangent_basis, tangent_hessian
+from .core import as_dims, f_from_arrays, read_scaled, split_scale, tangent_basis, tangent_hessian
 from .errors import (
     DimensionError,
     InvalidInputError,
@@ -55,9 +55,7 @@ class BlockQuadraticForm:
         h = np.array(h, dtype=np.float64, copy=True)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionError(f"H must be square, got shape {h.shape}")
-        sizes = tuple(int(m) for m in block_sizes)
-        if not sizes or any(m < 1 for m in sizes):
-            raise DimensionError(f"invalid block sizes {sizes}")
+        sizes = as_dims(block_sizes, "block sizes")
         if sum(sizes) != h.shape[0]:
             raise DimensionError(
                 f"block sizes {sizes} sum to {sum(sizes)}, H has order {h.shape[0]}"

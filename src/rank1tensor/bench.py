@@ -14,8 +14,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import Tensor
-from .errors import DimensionError, InvalidInputError, Rank1Error
+from .core import Tensor, as_dims
+from .errors import InvalidInputError, Rank1Error
 from .solvers import SolverConfig, solve
 
 KINDS = ("random_uniform", "symmetric_random", "smooth_blob")
@@ -35,11 +35,9 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
+        object.__setattr__(self, "dims", as_dims(self.dims))
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown dataset kind {self.kind!r}")
-        if any(m < 1 for m in self.dims) or not self.dims:
-            raise DimensionError(f"invalid dims {self.dims}")
         if self.kind == "symmetric_random" and len(set(self.dims)) != 1:
             raise InvalidInputError("symmetric_random needs cubical dims")
 
@@ -149,16 +147,23 @@ def _one_run(spec, method, run):
     return RunRecord(method, spec.kind, spec.dims_label, run, run_seed, *outcome, elapsed)
 
 
-def run_bench(specs, methods, runs=10, out_csv=None):
-    """Execute ``runs`` seeded solves per (spec, method) and aggregate.
-
-    Returns (rows, csv_text); also writes the CSV when ``out_csv`` is given.
-    Per-run errors are recorded in their row, not raised.
-    """
+def check_run(specs, methods, runs):
+    """Raise :class:`InvalidInputError` unless runs >= 1 and there are specs and known methods."""
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
     if not specs or not methods:
         raise InvalidInputError("need at least one dataset spec and one method")
+    for method in methods:
+        SolverConfig(method=method)
+
+
+def run_bench(specs, methods, runs=10):
+    """Execute ``runs`` seeded solves per (spec, method) and aggregate.
+
+    Returns (rows, csv_text); the run is checked first (:func:`check_run`).
+    Per-run errors are recorded in their row, not raised.
+    """
+    check_run(specs, methods, runs)
 
     def nanmean(values):
         finite = [v for v in values if not np.isnan(v)]
@@ -183,8 +188,4 @@ def run_bench(specs, methods, runs=10, out_csv=None):
                     records=group,
                 )
             )
-    csv_text = "\n".join(csv_lines) + "\n"
-    if out_csv:
-        with open(out_csv, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    return rows, csv_text
+    return rows, "\n".join(csv_lines) + "\n"

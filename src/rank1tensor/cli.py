@@ -18,7 +18,7 @@ import sys
 
 from . import io
 from .errors import BreakdownError, Rank1Error
-from .solvers import METHODS, SolverConfig, solve
+from .solvers import INITS, METHODS, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -137,6 +137,7 @@ def cmd_bench(args):
         for kind in kinds
         for n in args.sizes
     ]
+    bench_mod.check_run(specs, methods, args.runs)  # before --out is opened
     with open(args.out, "w", encoding="ascii") as fh:
         rows, csv_text = bench_mod.run_bench(specs, methods, runs=args.runs)
         fh.write(csv_text)
@@ -196,15 +197,17 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="best rank-one approximation of a tensor file")
     p.add_argument("--input", required=True, help="tensor text file")
-    p.add_argument("--method", default="als", choices=METHODS)
-    p.add_argument("--seed", type=int, default=0, help="random-start seed (default 0)")
-    p.add_argument("--init", default="random", choices=("random", "hosvd"))
-    p.add_argument("--max-iters", type=int, default=10, help="sweep cap (default 10)")
+    p.add_argument("--method", default=SolverConfig.method, choices=METHODS)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed,
+                   help="random-start seed (default %(default)s)")
+    p.add_argument("--init", default=SolverConfig.init, choices=INITS)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iterations,
+                   help="sweep cap (default %(default)s)")
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-4,
-        help="fit-change stop (default 1e-4); below 1e-6 the solve also takes "
+        default=SolverConfig.fitchange_tol,
+        help="fit-change stop (default %(default)g); below 1e-6 the solve also takes "
         "Newton steps once the fit change is below 1e-4, and may stop on a "
         "certified stationarity of at most tol^(3/4)|T|",
     )
@@ -229,7 +232,7 @@ def build_parser():
         default="random_uniform",
         help="comma list of: random_uniform, symmetric_random, smooth_blob",
     )
-    p.add_argument("--methods", default="als,asvd,mals,masvd")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--runs", type=int, default=10, help="runs per cell (default 10)")
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--out", default="bench.csv", help="CSV path (default bench.csv)")

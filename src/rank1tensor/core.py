@@ -14,6 +14,7 @@ Conventions
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -43,10 +44,7 @@ class Tensor:
 
     def __init__(self, array, copy=True):
         arr = (np.array if copy else np.asarray)(array, dtype=np.float64, order="C")
-        if arr.ndim < 1:
-            raise DimensionError("a tensor needs at least one mode")
-        if any(m < 1 for m in arr.shape):
-            raise DimensionError(f"all dimensions must be >= 1, got {arr.shape}")
+        as_dims(arr.shape)
         if not np.isfinite(arr).all():
             raise InvalidInputError("tensor entries must be finite (found NaN or Inf)")
         self.array = arr
@@ -54,7 +52,7 @@ class Tensor:
     @classmethod
     def from_flat(cls, dims, values):
         """Build from a flat value sequence in row-major order."""
-        dims = tuple(int(m) for m in dims)
+        dims = as_dims(dims)
         values = np.asarray(values, dtype=np.float64)
         if values.size != math.prod(dims):
             raise DimensionError(
@@ -87,6 +85,19 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(dims={self.dims})"
+
+
+def as_dims(dims, what="dims"):
+    """``dims`` as a nonempty tuple of ``operator.index`` ints >= 1, a bool
+    refused; raises :class:`DimensionError` for anything else."""
+    try:
+        items = tuple(dims)
+        sizes = tuple(operator.index(m) for m in items)
+    except TypeError:
+        items = sizes = ()
+    if not sizes or min(sizes) < 1 or any(isinstance(m, bool) for m in items):
+        raise DimensionError(f"{what} must be integers >= 1, got {dims!r}")
+    return sizes
 
 
 def split_scale(arr):

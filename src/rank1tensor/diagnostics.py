@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .core import UnitTuple, f_from_arrays, mode_residual, read_scaled, split_scale
-from .errors import DimensionError, InvalidInputError, UnsupportedError
+from .errors import DegenerateInputError, DimensionError, InvalidInputError, UnsupportedError
 from .solvers import default_pair_schedule
 
 #: default margin for checks after an alternating solve, relative to |T|
@@ -94,8 +94,9 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     Level 1 uses that the maximum of a linear functional on the sphere is
     the norm of its coefficient vector: mode i is maximal iff
     f = |T x (other vectors)|. Level 2 compares f with the top singular
-    value of the pair's matrix, contracted against every other vector; its
-    checks follow ``solvers.default_pair_schedule(d)``, which raises
+    value of the pair's matrix, contracted against every other vector (0
+    for a zero matrix, the best value of a zero bilinear form); its checks
+    follow ``solvers.default_pair_schedule(d)``, which raises
     :class:`UnsupportedError` below d = 3. A check passes when the shortfall
     is at most ``tol * |T|``.
     """
@@ -120,7 +121,10 @@ def check_semi_max(t, u, level=1, tol=POST_SOLVE_TOL):
     f = f_from_arrays(arr, u.vectors)
     for s, (i, j) in enumerate(pairs):
         mat = kernels.contract_all_but_two(arr, u.vectors, i, j)
-        best = linalg.top_singular_triple(mat).sigma
+        try:
+            best = linalg.top_singular_triple(mat).sigma
+        except DegenerateInputError:
+            best = 0.0
         margin = scale * (f - best)
         checks.append(SemiMaxCheck(index=s, margin=margin, passed=margin >= -slack))
     return SemiMaxReport(level="two_semi", tol=tol, checks=checks)
@@ -171,15 +175,10 @@ def apply_F(t, vectors):
     """One application of the induced multilinear map: component i is the
     contraction of the tensor against every other vector (no normalization).
     Homogeneous of degree d-1; the origin is a fixed point."""
-    d = t.ndim
-    if len(vectors) != d:
-        raise DimensionError(f"expected {d} vectors, got {len(vectors)}")
+    shapes = [(m,) for m in t.dims]
     vecs = [np.ascontiguousarray(v, dtype=np.float64) for v in vectors]
-    for i, v in enumerate(vecs):
-        if v.shape != (t.dims[i],):
-            raise DimensionError(
-                f"component {i} has shape {v.shape}, expected ({t.dims[i]},)"
-            )
+    if [v.shape for v in vecs] != shapes:
+        raise DimensionError(f"expected vectors of shapes {shapes}, got {[v.shape for v in vecs]}")
     return kernels.all_contractions(t.array, vecs)
 
 
@@ -200,9 +199,9 @@ def jacobian_check_origin(t, h=1e-3):
     """Max entrywise deviation from the identity of the central-difference
     Jacobian of u - F(u) at the origin, with step ``h`` per coordinate.
 
-    F is multilinear of degree d-1 >= 2 across the component blocks, so all
-    its contributions vanish to high order at the origin and the deviation
-    is expected to be O(h^(d-2))-small at worst. ``h`` and every difference
+    At a one-coordinate step every component of F, multilinear of degree
+    d-1 >= 2, has a zero argument, so the result is exactly 0.0 at every
+    step h where h*T does not overflow inside F. ``h`` and every difference
     quotient at it must be finite, or :class:`InvalidInputError` is raised.
     """
     if t.ndim < 3:

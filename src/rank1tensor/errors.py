@@ -14,8 +14,7 @@ class InvalidInputError(Rank1Error, ValueError):
 
 
 class DegenerateInputError(Rank1Error, ValueError):
-    """Input is structurally unusable: zero tensor, zero matrix, or a
-    start point with identically vanishing objective."""
+    """Input is structurally unusable: a zero tensor or a zero matrix."""
 
 
 class BreakdownError(Rank1Error, RuntimeError):

@@ -59,6 +59,7 @@ Inertia = namedtuple("Inertia", ["positive", "negative", "zero"])
 #: largest singular value with unit left/right vectors, A v = sigma u, and
 #: the squarings behind a certified answer (0 when eigh answered)
 SingularTriple = namedtuple("SingularTriple", ["sigma", "u", "v", "squarings"])
+_NOT_FINITE = "matrix has a NaN or Inf entry, or its Gram matrix overflows"
 
 
 def _sign_counts(eigenvalues, scale, tol=ZERO_EIG_TOL):
@@ -74,12 +75,14 @@ def inertia(s):
     """Counts (positive, negative, zero) of eigenvalues of a symmetric
     matrix, with |eigenvalue| <= ZERO_EIG_TOL * max|S| counted as zero, so
     that S and cS have the same counts for any c > 0; raises unless the
-    input is square and symmetric to 1e-10 relative. Only the eigenvalues
-    are computed."""
+    input is square, finite and symmetric to 1e-10 relative. Only the
+    eigenvalues are computed."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {s.shape}")
     scale = np.max(np.abs(s)) if s.size else 0.0
+    if not scale < math.inf:
+        raise InvalidInputError("matrix entries must be finite (found NaN or Inf)")
     asym = np.max(np.abs(s - s.T)) if s.size else 0.0
     if asym > 1e-10 * scale:
         raise InvalidInputError(
@@ -160,7 +163,8 @@ def top_singular_triple(a):
     squaring route when the smaller side is at least SQUARING_MIN_SIDE, read
     at call time, and the dense eigendecomposition of the Gram matrix below
     it or when the certificate fails. The first non-negligible entry of u is
-    positive.
+    positive. A NaN or Inf entry, or an overflowing G, raises
+    :class:`InvalidInputError`, seen in tr G or in eigh's outcome.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -172,13 +176,20 @@ def top_singular_triple(a):
     found = None
     if gram.shape[0] >= SQUARING_MIN_SIDE:
         trace = gram.trace()
+        if not trace < math.inf:
+            raise InvalidInputError(_NOT_FINITE)
         if not trace > 0.0 and not np.any(a):
             raise DegenerateInputError("matrix is identically zero")
         found = _certified_top_eigvec(gram, trace)
     if found is None:
-        w, vecs = np.linalg.eigh(gram)
+        try:
+            w, vecs = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError:
+            raise InvalidInputError(_NOT_FINITE) from None
         if not (w.size and w[-1] > 0.0) and not np.any(a):
             raise DegenerateInputError("matrix is identically zero")
+        if not (-math.inf < w[0] and w[-1] < math.inf):
+            raise InvalidInputError(_NOT_FINITE)
         found = np.ascontiguousarray(vecs[:, -1]), 0
     x, squarings = found
     y = a.T @ x if wide else a @ x

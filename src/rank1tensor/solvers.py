@@ -78,6 +78,7 @@ import numpy as np
 from . import kernels, linalg
 from .core import (
     UnitTuple,
+    as_dims,
     f_from_arrays,
     mode_residual,
     read_scaled,
@@ -89,17 +90,15 @@ from .core import (
 from .errors import (
     BreakdownError,
     DegenerateInputError,
-    DimensionError,
     InvalidInputError,
     UnsupportedError,
 )
 
 METHODS = ("als", "asvd", "mals", "masvd")
+INITS = ("random", "hosvd")
 
 #: a contraction below this norm is treated as an exact breakdown
 BREAKDOWN_NORM = 1e-300
-#: random starts drawn before a tensor with objective zero at each is given up
-START_RETRIES = 100
 _EPS = float(np.finfo(np.float64).eps)
 #: a solve is tight, and has a Newton finish, when its fitchange_tol is
 #: below this; every other solve is unchanged bit for bit
@@ -135,7 +134,7 @@ class SolverConfig:
             raise InvalidInputError(
                 f"fitchange_tol must be a positive number, got {tol!r}"
             )
-        if self.init not in ("random", "hosvd"):
+        if self.init not in INITS:
             raise InvalidInputError(f"unknown init {self.init!r}")
 
 
@@ -227,11 +226,8 @@ class Rank1Result:
 def init_random(dims, seed=0):
     """Uniformly random point on the sphere product (normalized Gaussians),
     deterministic per seed (a ``np.random.Generator`` is drawn from in
-    place)."""
-    dims = tuple(int(m) for m in dims)
-    if not dims or any(m < 1 for m in dims):
-        raise DimensionError(f"invalid dims {dims}")
-    return UnitTuple(_draw_unit_vectors(_rng(seed), dims))
+    place); a random-start :func:`solve` starts from the same draw."""
+    return UnitTuple(_draw_unit_vectors(_rng(seed), as_dims(dims)))
 
 
 def _rng(seed):
@@ -252,20 +248,6 @@ def _draw_unit_vectors(rng, dims):
                 break
         vecs.append(g / n)
     return vecs
-
-
-def _random_start(arr, seed):
-    # the first random unit vectors with a nonzero objective at ``arr``, and
-    # that objective; at most START_RETRIES draws
-    rng = _rng(seed)
-    for _ in range(START_RETRIES):
-        vecs = _draw_unit_vectors(rng, arr.shape)
-        f = f_from_arrays(arr, vecs)
-        if f != 0.0:
-            return vecs, f
-    raise DegenerateInputError(
-        f"{START_RETRIES} consecutive random starts had objective exactly zero"
-    )
 
 
 def init_hosvd(t):
@@ -292,26 +274,22 @@ def _hosvd_vectors(arr):
 def default_pair_schedule(d):
     """Pair visiting order for the pair-update methods.
 
-    d=3 and d=4 use fixed orders; for d>4 all C(d,2) pairs are arranged
-    greedily so that consecutive pairs are index-disjoint when possible,
-    falling back to the lexicographically first unused pair. At d=3 step k
-    is the pair without mode k: masvd's candidate k, which freezes x_k.
+    At d=3 step k is the pair without mode k: masvd's candidate k, which
+    freezes x_k. For d>3 all C(d,2) pairs are arranged greedily so that
+    consecutive pairs are index-disjoint when possible, falling back to the
+    lexicographically first unused pair; at d=4 that is (0,1), (2,3), (0,2),
+    (1,3), (0,3), (1,2).
     ``diagnostics.check_semi_max(level=2)`` checks the pairs in this order.
     """
     if d < 3:
         raise UnsupportedError("pair schedules need at least 3 modes")
     if d == 3:
         return [(1, 2), (0, 2), (0, 1)]
-    if d == 4:
-        return [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
     unused = [(i, j) for i in range(d) for j in range(i + 1, d)]
     schedule = [unused.pop(0)]
     while unused:
         prev = set(schedule[-1])
-        pick = next(
-            (p for p in unused if not prev.intersection(p)),
-            unused[0],
-        )
+        pick = next((p for p in unused if not prev.intersection(p)), unused[0])
         unused.remove(pick)
         schedule.append(pick)
     return schedule
@@ -582,23 +560,22 @@ def solve(t, cfg=None, initial=None):
     lambda >= 0 and a full per-sub-step trace; the traced objective sequence
     is nondecreasing.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    cfg = cfg or SolverConfig()
     arr, scale, nrm2 = read_scaled(t, initial)
     if nrm2 == 0.0:
         raise DegenerateInputError("the zero tensor has no rank-one direction")
     _check_method_dims(cfg.method, arr.ndim)
     nrm = math.sqrt(nrm2)
 
+    # a start with f = 0 is no error: the first sweep works from
+    # contractions, and an all-zero one is a BreakdownError
     if initial is not None:
         vecs = [v.copy() for v in initial.vectors]
-        f_current = f_from_arrays(arr, vecs)
     elif cfg.init == "random":
-        vecs, f_current = _random_start(arr, cfg.seed)
+        vecs = _draw_unit_vectors(_rng(cfg.seed), arr.shape)
     else:
         vecs = _hosvd_vectors(arr)
-        f_current = f_from_arrays(arr, vecs)
-    trace = SolverTrace(f_current)
+    trace = SolverTrace(f_from_arrays(arr, vecs))
     one_sweep = _SWEEPS[cfg.method]
     cache = {}
 
@@ -612,7 +589,7 @@ def solve(t, cfg=None, initial=None):
     retry_below = NEWTON_FIT_CHANGE
     tried = False
     stationarity = None
-    fit_prev = f_current / nrm
+    fit_prev = trace.f_initial / nrm
     converged_by = "max_iterations"
     for _ in range(cfg.max_iterations):
         started = time.perf_counter()

@@ -75,11 +75,12 @@ class TestRunBench:
         _, second = run_bench([spec], ["als", "asvd"], runs=4)
         assert strip_timing(first) == strip_timing(second)
 
-    def test_out_csv_written(self, tmp_path):
-        spec = DatasetSpec(kind="random_uniform", dims=(4, 4, 4), seed=3)
-        out = tmp_path / "bench.csv"
-        _, csv_text = run_bench([spec], ["als"], runs=2, out_csv=str(out))
-        assert out.read_text(encoding="ascii") == csv_text
+    @pytest.mark.parametrize("methods,runs", [(["als", "foo"], 2), (["als"], 0), ([], 2)])
+    def test_bad_run_refused_before_any_solve(self, methods, runs, monkeypatch):
+        spec = DatasetSpec(kind="random_uniform", dims=(2, 2, 2))
+        monkeypatch.setattr(bench, "_one_run", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(InvalidInputError):
+            run_bench([spec], methods, runs=runs)
 
     def test_solver_errors_recorded_not_raised(self, monkeypatch):
         # an all-zero tensor cannot be decomposed; the row reports the error

@@ -232,6 +232,20 @@ class TestVerify:
         assert code == 1
 
     @pytest.mark.parametrize("level", ["1", "2"])
+    def test_zero_pair_matrix_passes(self, tmp_path, capsys, level):
+        # T = e0 (x) e0 (x) e0 at (e1, e1, e1): every margin is 0
+        tensor_path, tuple_path = tmp_path / "t.txt", tmp_path / "u.txt"
+        tensor_path.write_text("3\n2 2 2\n1 0 0 0 0 0 0 0\n")
+        tuple_path.write_text("3\n2 2 2\n0 1\n0 1\n0 1\n")
+        argv = ["verify", "--input", tensor_path, "--tuple", tuple_path, "--level", level]
+        code = cli.main([str(a) for a in argv])
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line.split() for line in lines if line.startswith("check ")]
+        assert code == 0
+        assert [(c[4], c[5]) for c in checks] == [("0", "pass")] * 3
+        assert "semi_max pass" in lines and "criticality pass" in lines
+
+    @pytest.mark.parametrize("level", ["1", "2"])
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_finite_scale(self, tmp_path, capsys, scale, level):
         # a Gaussian tensor's masvd axes pass at any scale; the residual is
@@ -358,6 +372,26 @@ class TestBench:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--methods", "foo"], ["--methods", "als,foo"], ["--methods", ","], ["--runs", "0"]],
+    )
+    def test_bad_run_exits_one_before_the_file(self, extra, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--sizes", "2", *extra, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_defaults_are_the_solver_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["decompose", "--input", "t.txt"])
+        cfg = SolverConfig()
+        assert (args.method, args.seed, args.init) == (cfg.method, cfg.seed, cfg.init)
+        assert (args.max_iters, args.tol) == (cfg.max_iterations, cfg.fitchange_tol)
+        assert parser.parse_args(["bench"]).methods.split(",") == list(METHODS)
 
     def test_parallel_flag_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

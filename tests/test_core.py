@@ -15,6 +15,11 @@ from rank1tensor import (
     unfold,
 )
 
+from rank1tensor.ami import BlockQuadraticForm
+from rank1tensor.bench import DatasetSpec
+from rank1tensor.core import as_dims
+from rank1tensor.solvers import init_random
+
 import oracles
 from conftest import (
     SCALE_EXPONENTS,
@@ -72,6 +77,38 @@ class TestTensor:
         arr = np.ones((2, 3))
         assert Tensor(arr, copy=False).array is arr
         assert Tensor(arr).array is not arr
+
+
+DIMS_ENTRIES = {
+    "Tensor.from_flat": lambda dims: Tensor.from_flat(dims, np.ones(4)).dims,
+    "init_random": lambda dims: init_random(dims).dims,
+    "DatasetSpec": lambda dims: DatasetSpec(kind="random_uniform", dims=dims).dims,
+    "BlockQuadraticForm": lambda dims: BlockQuadraticForm(np.eye(4), dims).block_sizes,
+}
+
+
+class TestDimsRule:
+    """Every dims or block-size argument is a nonempty sequence of
+    ``operator.index`` ints >= 1, through ``core.as_dims``."""
+
+    @pytest.mark.parametrize("entry", sorted(DIMS_ENTRIES))
+    @pytest.mark.parametrize(
+        "dims", [(2.5, 2), (2, "2"), (0, 2), (2, -1), (), (True, 2), (2, False), 4, "22"]
+    )
+    def test_refused(self, entry, dims):
+        with pytest.raises(DimensionError):
+            DIMS_ENTRIES[entry](dims)
+
+    @pytest.mark.parametrize("entry", sorted(DIMS_ENTRIES))
+    def test_index_ints_taken(self, entry):
+        got = DIMS_ENTRIES[entry]((np.int64(2), 2))
+        assert got == (2, 2) and all(type(m) is int for m in got)
+
+    def test_helper(self):
+        assert as_dims([np.int64(3), 1]) == (3, 1)
+        assert as_dims(range(1, 4)) == (1, 2, 3)
+        with pytest.raises(DimensionError, match="block sizes"):
+            as_dims((1.9, 1.2), "block sizes")
 
 
 class TestUnitTuple:

@@ -156,6 +156,17 @@ class TestSemiMax:
         with pytest.raises(UnsupportedError, match="at least 3 modes"):
             check_semi_max(t, random_tuple(t.dims, 6), level=2)
 
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_zero_pair_matrix_has_best_value_zero(self, level):
+        # T = e0 (x) e0 (x) e0 at (e1, e1, e1): f = 0, and every contraction
+        # and pair matrix is zero, whose best value is 0
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0] = 1.0
+        e1 = np.array([0.0, 1.0])
+        report = check_semi_max(Tensor(arr), UnitTuple([e1, e1, e1]), level=level)
+        assert [c.margin for c in report.checks] == [0.0, 0.0, 0.0]
+        assert report.passed
+
 
 class TestLevelTwoAnyModes:
     """Level 2 at d >= 4 checks every pair, in the order of

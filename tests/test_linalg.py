@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestInertia:
         with pytest.raises(InvalidInputError):
             inertia(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("s", [np.diag([np.nan, 1.0]), [[np.inf]], np.diag([1.0, -np.inf])])
+    def test_non_finite_rejected(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite"):
+                inertia(s)
+
 
 class TestTopSingularTripleDense:
     def test_diagonal(self):
@@ -136,6 +144,29 @@ class TestTopSingularTripleDense:
         with np.errstate(all="raise"):
             with pytest.raises(DegenerateInputError, match="identically zero"):
                 top_singular_triple(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[np.nan, 1.0], [1.0, 2.0]]),
+            np.full((3, 3), np.nan),
+            np.full((20, 20), np.inf),
+            np.full((20, 3), -np.inf),
+            np.diag([1.0] * 19 + [np.nan]),
+        ],
+    )
+    def test_non_finite_rejected_on_either_route(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="NaN or Inf"):
+                top_singular_triple(a)
+
+    @pytest.mark.parametrize("a", [[[1e200, 1.0], [1.0, 1.0]], np.full((20, 20), 1e200)])
+    def test_overflowing_gram_rejected(self, a):
+        # the Gram product's overflow warning aside, no answer is returned
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match="overflows"):
+                top_singular_triple(a)
 
     def test_matches_angle_grid_search_2x2(self):
         a = np.random.default_rng(7).standard_normal((2, 2))

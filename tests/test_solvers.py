@@ -24,7 +24,6 @@ from rank1tensor.linalg import top_singular_triple
 from rank1tensor.solvers import (
     SolverConfig,
     _normalized,
-    _random_start,
     default_pair_schedule,
     init_hosvd,
     init_random,
@@ -65,10 +64,6 @@ class TestInitRandom:
         samples = [init_random((3, 2), seed=s)[0][0] for s in range(10_000)]
         assert abs(np.mean(samples)) < 0.05
 
-    def test_zero_objective_exhausts_retries(self):
-        with pytest.raises(DegenerateInputError):
-            _random_start(np.zeros((2, 2, 2)), 0)
-
 
 def reference_start(dims, seed):
     # the start stream: one standard normal draw per mode from one
@@ -89,13 +84,46 @@ class TestStartStream:
     def test_starts_equal_reference_bit_for_bit(self, dims, seed):
         expected = reference_start(dims, seed)
         t = random_tensor(dims, 1)
-        vecs, f = _random_start(t.array, seed)
-        starts = [vecs, init_random(dims, seed=seed).vectors]
-        for start in starts:
-            assert len(start) == len(dims)
-            assert all(np.array_equal(x, y) for x, y in zip(start, expected))
-        assert f == f_value(t, UnitTuple(expected))
+        start = init_random(dims, seed=seed).vectors
+        assert len(start) == len(dims)
+        assert all(np.array_equal(x, y) for x, y in zip(start, expected))
+        f = f_value(t, UnitTuple(expected))
         assert solve(t, SolverConfig(seed=seed)).trace.f_initial == f
+
+
+START_DIMS = [(4, 3, 5), (3, 2, 4, 2), (2, 3, 2, 2, 3)]
+
+
+class TestStartRule:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-12])
+    @pytest.mark.parametrize(
+        "method,dims",
+        [
+            *[(m, d) for m in ("als", "asvd", "mals") for d in START_DIMS],
+            ("masvd", START_DIMS[0]),
+        ],
+    )
+    def test_random_start_is_init_random_bit_for_bit(self, method, dims, tol):
+        for seed in (0, 7):
+            t = random_tensor(dims, 40 + seed)
+            cfg = SolverConfig(method=method, seed=seed, fitchange_tol=tol, max_iterations=200)
+            drawn = solve(t, cfg)
+            given = solve(t, cfg, initial=init_random(t.dims, cfg.seed))
+            assert drawn.lambda_ == given.lambda_
+            assert all(np.array_equal(x, y) for x, y in zip(drawn.axes, given.axes))
+            assert list(drawn.trace.f_sequence()) == list(given.trace.f_sequence())
+            assert drawn.trace.opt_calls == given.trace.opt_calls
+            assert drawn.optimization_calls == given.optimization_calls
+
+    def test_start_with_zero_objective_is_no_error(self):
+        # T = e0 (x) e0 (x) e0: f = 0 at (e1, e0, e0), where als's first
+        # contraction is e0; at (e1, e1, e1) every contraction is zero
+        t = Tensor(np.eye(2)[0][:, None, None] * np.eye(2)[0][:, None] * np.eye(2)[0])
+        e0, e1 = np.eye(2)
+        result = solve(t, SolverConfig(), initial=UnitTuple([e1, e0, e0]))
+        assert result.trace.f_initial == 0.0 and result.lambda_ == 1.0
+        with pytest.raises(BreakdownError, match="mode-0"):
+            solve(t, SolverConfig(), initial=UnitTuple([e1, e1, e1]))
 
 
 class TestInitHosvd:

@@ -7,7 +7,8 @@ Run from anywhere inside the repository:
         --trace solve_small:801
 
 Both revisions (``--change`` defaults to HEAD) are written out with
-``git archive`` into a temporary directory. For every seed of every
+``git archive`` into a temporary directory; each tree's package must have
+``solvers.sweep(t, u, method)``. For every seed of every
 ``--workload W:SEEDS`` (``801-810`` or ``801,803``), the command
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
@@ -354,14 +355,6 @@ def _timed_row(dims, step, call, repeats, seconds):
     }
 
 
-def _sweep(solvers):
-    """``solvers.sweep(t, u, method)``; for a tree from before it, the
-    call of that tree's per-method ``<method>_sweep(t, u)``."""
-    if hasattr(solvers, "sweep"):
-        return solvers.sweep
-    return lambda t, u, method: getattr(solvers, f"{method}_sweep")(t, u)
-
-
 def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
     """Rows of best-of-N µs per call of the update steps of the importable
     ``rank1tensor``, at the tuple of an asvd solve to a fit change of 1e-6
@@ -379,10 +372,9 @@ def step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
         vecs = list(u.vectors)
         contractions = kernels.all_contractions(t.array, vecs)
         f, _ = solvers._f_and_stationarity(vecs, contractions)
-        sweep = _sweep(solvers)
         calls = {
-            "asvd_sweep": lambda: sweep(t, u, "asvd"),
-            "masvd_sweep": lambda: sweep(t, u, "masvd"),
+            "asvd_sweep": lambda: solvers.sweep(t, u, "asvd"),
+            "masvd_sweep": lambda: solvers.sweep(t, u, "masvd"),
             "newton_step": lambda: solvers._newton_step(t.array, vecs, contractions, f),
         }
         rows.extend(_timed_row(dims, step, call, repeats, seconds) for step, call in calls.items())
@@ -466,7 +458,7 @@ def large_step_timings(repeats=STEP_REPEATS, seconds=STEP_SECONDS):
             dims = mat.shape
         else:
             method = step.removesuffix("_sweep")
-            call = lambda sweep=_sweep(solvers), t=t, u=u, m=method: sweep(t, u, m)
+            call = lambda t=t, u=u, m=method: solvers.sweep(t, u, m)
         rows.append(_timed_row(dims, step, call, repeats, seconds))
     return rows
 
