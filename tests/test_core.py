@@ -93,7 +93,7 @@ class TestDimsRule:
 
     @pytest.mark.parametrize("entry", sorted(DIMS_ENTRIES))
     @pytest.mark.parametrize(
-        "dims", [(2.5, 2), (2, "2"), (0, 2), (2, -1), (), (True, 2), (2, False), 4, "22"]
+        "dims", [(2.5, 2), (2, "3"), (0, 2), (2, -1), (), (True, 2), (2, False), 4, "22"]
     )
     def test_refused(self, entry, dims):
         with pytest.raises(DimensionError):
