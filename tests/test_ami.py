@@ -9,7 +9,6 @@ from rank1tensor import (
     Rank1Error,
     SingularBlockError,
     Tensor,
-    UnitTuple,
 )
 from rank1tensor.ami import (
     BlockQuadraticForm,

@@ -14,7 +14,6 @@ from rank1tensor import (
     residual_norm,
     unfold,
 )
-
 from rank1tensor.ami import BlockQuadraticForm
 from rank1tensor.bench import DatasetSpec
 from rank1tensor.core import as_dims

@@ -118,8 +118,8 @@ class TestStartRule:
     def test_start_with_zero_objective_is_no_error(self):
         # T = e0 (x) e0 (x) e0: f = 0 at (e1, e0, e0), where als's first
         # contraction is e0; at (e1, e1, e1) every contraction is zero
-        t = Tensor(np.eye(2)[0][:, None, None] * np.eye(2)[0][:, None] * np.eye(2)[0])
         e0, e1 = np.eye(2)
+        t = Tensor(np.einsum("i,j,k->ijk", e0, e0, e0))
         result = solve(t, SolverConfig(), initial=UnitTuple([e1, e0, e0]))
         assert result.trace.f_initial == 0.0 and result.lambda_ == 1.0
         with pytest.raises(BreakdownError, match="mode-0"):
